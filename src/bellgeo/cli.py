@@ -273,7 +273,13 @@ def _boundary_interval(d_ref: behavior.DBehavior, side: str, c11: float):
     return lo_bound, hi_bound
 
 
+def _check_samples(args):
+    if args.samples < 1:
+        raise CliError(f"--samples={args.samples} must be at least 1")
+
+
 def cmd_counterexample(args) -> int:
+    _check_samples(args)
     eps = args.epsilon
     if not 0.0 < eps < math.pi / 40:
         raise CliError(f"epsilon={eps} outside (0, pi/40)")
@@ -328,6 +334,7 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _check_samples(args)
     rng = np.random.default_rng(args.seed)
     buf = io.StringIO()
     if args.mode == "random":

@@ -53,12 +53,15 @@ class SignPattern:
 
 @dataclass(frozen=True)
 class ExtremalVerdict:
+    """Flags of ``extremal_criterion``; ``sin2chiSquared`` is None when the
+    S^+ test fails, since there is no common branch value to report."""
+
     conditionSPlus: bool
     tlmBSaturated: bool
     tlmASaturated: bool
     uniquenessTrivial: bool
     conjecture1Candidate: bool
-    sin2chiSquared: float
+    sin2chiSquared: float | None
     residuals: dict
 
     def to_json(self, indent: int | None = None) -> str:
@@ -259,6 +262,6 @@ def extremal_criterion(b: CBehavior, tol: float = DEFAULT_TOL) -> ExtremalVerdic
         tlmASaturated=bool(tlm_a),
         uniquenessTrivial=bool(uniq_trivial),
         conjecture1Candidate=bool(cond_splus and tlm_b and tlm_a),
-        sin2chiSquared=common if cond_splus else float("nan"),
+        sin2chiSquared=common if cond_splus else None,
         residuals=residuals,
     )

@@ -46,9 +46,17 @@ class GeometryParams:
 
     def __post_init__(self):
         for name in ("thetaA", "thetaB", "phiB", "phiA"):
-            object.__setattr__(self, name, _freeze(getattr(self, name)))
-        object.__setattr__(self, "chi", float(self.chi))
-        object.__setattr__(self, "psiPrimeNorm", float(self.psiPrimeNorm))
+            a = _freeze(getattr(self, name))
+            if a.shape != (2,):
+                raise ValueError(f"{name} must hold two angles, got shape {a.shape}")
+            if not np.isfinite(a).all():
+                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, a)
+        for name in ("chi", "psiPrimeNorm"):
+            x = float(getattr(self, name))
+            if not math.isfinite(x):
+                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, x)
 
     def to_json_dict(self) -> dict:
         return {

@@ -9,11 +9,11 @@ the geometry down uniquely.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .behavior import DBehavior, DEFAULT_TOL
 from .geometry import GeometryParams, d_values
@@ -220,99 +220,113 @@ def recovered_d_squared(coeff: QBellCoefficients, q: float, t: float) -> tuple[f
     return float(d0), float(d1)
 
 
-def _ratio_numerators(u: np.ndarray, t):
-    t = np.asarray(t, dtype=float)
-    return np.stack(
-        [
-            u[0, 0] + u[0, 1] * t,
-            u[0, 1] + u[0, 0] * t,
-            u[1, 0] - u[1, 1] * t,
-            u[1, 1] - u[1, 0] * t,
-        ]
-    )
+
+
+#: Two roots of the uniqueness system closer than this in both cosines are
+#: one root, and a root this close to the reference cosines is the trivial one.
+ROOT_SEPARATION = 1e-6
+
+#: A sign pattern whose smaller singular value is below this fraction of the
+#: larger one has a rank-1 system: its solutions, if any, form a line.
+RANK_TOL = 1e-9
+
+# the 16 sign patterns sigma of the four equations, all-plus (the reference
+# root's pattern) first
+_SIGNS = np.array(list(itertools.product((1.0, -1.0), repeat=4)))
+
+
+def _ratio_coefficients(coeff: QBellCoefficients) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets p and slopes q of the uniqueness ratios.
+
+    The k-th ratio is (p_k + q_k t)^2 with t = cos(theta_0 - theta_1),
+    normalized to 1 at the reference angle.
+    """
+    u = coeff.u
+    p = np.array([u[0, 0], u[0, 1], u[1, 0], u[1, 1]])
+    q = np.array([u[0, 1], u[0, 0], -u[1, 1], -u[1, 0]])
+    ref = p + q * math.cos(coeff.dthetaRef)
+    if np.abs(ref).min() < 1e-10:
+        raise DegenerateGeometryError(
+            "a uniqueness-equation denominator vanishes at the reference angle"
+        )
+    return p / ref, q / ref
 
 
 def _ratio_values(coeff: QBellCoefficients, t):
     """The four squared ratios of the uniqueness system, as functions of
     t = cos(theta_0 - theta_1), normalized to 1 at the reference angle."""
-    tref = math.cos(coeff.dthetaRef)
-    ref = _ratio_numerators(coeff.u, tref)
-    if np.abs(ref).min() < 1e-10:
-        raise DegenerateGeometryError(
-            "a uniqueness-equation denominator vanishes at the reference angle"
-        )
-    num = _ratio_numerators(coeff.u, t)
-    return (num / ref.reshape((4,) + (1,) * np.ndim(t))) ** 2
+    p, q = _ratio_coefficients(coeff)
+    t = np.asarray(t, dtype=float)
+    shape = (4,) + (1,) * t.ndim
+    return (p.reshape(shape) + q.reshape(shape) * t) ** 2
 
 
-def uniqueness_check(
-    g: GeometryParams,
-    tol: float = 1e-8,
-    grid_resolution: float = 1e-3,
-    nontrivial_distance: float = 1e-4,
-) -> UniquenessReport:
+def _clip_line(x0: np.ndarray, v: np.ndarray) -> list[np.ndarray]:
+    """Endpoints of the part of the line x0 + lam v inside [-1, 1]^2."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ends = (np.array([[-1.0], [1.0]]) - x0) / v  # (bound, coordinate)
+    # a coordinate the line does not move along gives +-inf (or nan on the
+    # border), which constrains nothing or empties the segment
+    lo = np.nanmax(ends.min(axis=0))
+    hi = np.nanmin(ends.max(axis=0))
+    if not lo <= hi:
+        return []
+    return [x0 + lo * v, x0 + hi * v]
+
+
+def _same_root(a, b) -> bool:
+    return abs(a[0] - b[0]) <= ROOT_SEPARATION and abs(a[1] - b[1]) <= ROOT_SEPARATION
+
+
+def uniqueness_check(g: GeometryParams, tol: float = 1e-8) -> UniquenessReport:
     """Decide whether g's hyperplane pair admits only the trivial solution.
 
-    The four equations equate side-A and side-B squared ratios, each a
-    function of one angle cosine; the solver scans the unit square on a
-    grid, refines every local minimum of the residual, and classifies the
-    refined roots by distance from the reference cosines.
+    The four equations equate side-A and side-B squared ratios,
+    (pA_k + qA_k tA)^2 = (pB_k + qB_k tB)^2, in the angle cosines tA and tB.
+    Each holds exactly when pA_k + qA_k tA = sigma_k (pB_k + qB_k tB) for a
+    sign sigma_k, so the solutions are those of 16 linear 4x2 systems, one
+    per sign pattern, solved together by one batched SVD.  A rank-2 system
+    contributes its least-squares point, a rank-1 system the endpoints of
+    its solution line clipped to [-1, 1]^2.  The candidates, clipped to the
+    square, whose squared residual is at most ``tol`` are the solutions,
+    listed as (tA, tB, residual) with the reference cosines first; the
+    geometry is unique when every solution lies within ``ROOT_SEPARATION``
+    of them.
     """
     _, _, (coeffB, coeffA) = construct_pair(g)
-    tA_ref = math.cos(coeffA.dthetaRef)
-    tB_ref = math.cos(coeffB.dthetaRef)
-    n = int(round(2.0 / grid_resolution)) + 1
-    ts = np.linspace(-1.0, 1.0, n)
-    ga = _ratio_values(coeffA, ts)  # (4, n)
-    gb = _ratio_values(coeffB, ts)
-    res = np.zeros((n, n))
-    for k in range(4):
-        res += (ga[k][:, None] - gb[k][None, :]) ** 2
+    pA, qA = _ratio_coefficients(coeffA)
+    pB, qB = _ratio_coefficients(coeffB)
+    ref = np.array([math.cos(coeffA.dthetaRef), math.cos(coeffB.dthetaRef)])
 
-    def residual_vec(x):
-        return (_ratio_values(coeffA, x[0]) - _ratio_values(coeffB, x[1])).ravel()
+    m = np.stack([np.broadcast_to(qA, _SIGNS.shape), -_SIGNS * qB], axis=-1)
+    rhs = _SIGNS * pB - pA
+    left, sv, vt = np.linalg.svd(m, full_matrices=False)
+    proj = np.einsum("nki,nk->ni", left, rhs)
+    full_rank = sv[:, 1] > RANK_TOL * sv[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        points = np.einsum("nij,ni->nj", vt, proj / sv)
+    candidates = [ref]
+    for n in range(len(_SIGNS)):
+        if full_rank[n]:
+            candidates.append(np.clip(points[n], -1.0, 1.0))
+        else:
+            candidates.extend(_clip_line(vt[n, 0] * proj[n, 0] / sv[n, 0], vt[n, 1]))
 
-    interior = res[1:-1, 1:-1]
-    is_min = (
-        (interior <= res[:-2, 1:-1])
-        & (interior <= res[2:, 1:-1])
-        & (interior <= res[1:-1, :-2])
-        & (interior <= res[1:-1, 2:])
-        & (interior < 1e-3)
-    )
-    ii, jj = np.nonzero(is_min)
-    starts = [(ts[i + 1], ts[j + 1]) for i, j in zip(ii, jj)]
-    # border rows/columns can hold minima of their own
-    for i in (0, n - 1):
-        j = int(np.argmin(res[i]))
-        if res[i, j] < 1e-3:
-            starts.append((ts[i], ts[j]))
-        j2 = int(np.argmin(res[:, i]))
-        if res[j2, i] < 1e-3:
-            starts.append((ts[j2], ts[i]))
-    if len(starts) > 256:
-        # degenerate geometries produce whole valleys of minima; a sample
-        # of them is enough to detect the nontrivial solutions
-        starts = starts[:: len(starts) // 256 + 1]
-    starts.append((tA_ref, tB_ref))
-
+    ts = np.array(candidates)
+    r2 = np.sum((_ratio_values(coeffA, ts[:, 0]) - _ratio_values(coeffB, ts[:, 1])) ** 2, axis=0)
     solutions: list[tuple[float, float, float]] = []
-    for x0 in starts:
-        fit = least_squares(
-            residual_vec, x0=np.array(x0), bounds=([-1.0, -1.0], [1.0, 1.0]), xtol=1e-14
-        )
-        r2 = float(np.sum(fit.fun**2))
-        if r2 > tol:
-            continue
-        ta, tb = float(fit.x[0]), float(fit.x[1])
-        if any(
-            abs(ta - s[0]) <= nontrivial_distance and abs(tb - s[1]) <= nontrivial_distance
-            for s in solutions
-        ):
-            continue
-        solutions.append((ta, tb, r2))
-    trivial_only = all(
-        abs(ta - tA_ref) <= nontrivial_distance and abs(tb - tB_ref) <= nontrivial_distance
-        for ta, tb, _ in solutions
-    )
-    return UniquenessReport(trivialOnly=bool(trivial_only), solutions=tuple(solutions))
+    for (ta, tb), res in zip(ts, r2):
+        if res <= tol and not any(_same_root((ta, tb), s) for s in solutions):
+            solutions.append((float(ta), float(tb), float(res)))
+    trivial_only = all(_same_root(s, ref) for s in solutions)
+    return UniquenessReport(trivialOnly=trivial_only, solutions=tuple(solutions))
+
+
+def __getattr__(name):
+    # bench/spans.py wraps qbell.least_squares when tracing; scipy is imported
+    # only on that lookup.  Remove once the benchmark drops that hook.
+    if name == "least_squares":
+        from scipy.optimize import least_squares
+
+        return least_squares
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

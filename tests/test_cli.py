@@ -48,6 +48,20 @@ def test_check_tsirelson_passes(capsys):
     assert report["uniquenessTrivial"] is False
 
 
+def test_check_off_branch_behavior_fails(capsys):
+    # nonlocal, but no consistent S^+ branch: a FAIL verdict with no common value
+    r = TwoQubitRealization(
+        thetaA=[4.1491352244035369, 1.5428503976869685],
+        thetaB=[4.8287347157826961, 1.3299916326525307],
+        chi=0.65288172842398529,
+    )
+    assert main(["check", "-i", r.to_json()]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["conditionSPlus"] is False
+    assert report["conjecture1Candidate"] is False
+    assert report["sin2chiSquared"] is None
+
+
 def test_check_local_behavior_is_error():
     uniform = json.dumps({"cA": [0, 0], "cB": [0, 0], "c": [[0, 0], [0, 0]]})
     assert main(["check", "-i", uniform]) == 1
@@ -94,6 +108,16 @@ def test_qbell_reference_point(capsys):
     assert report["trivialOnly"] is True
     assert report["valueB"] == pytest.approx(report["inequalityB"]["bound"], abs=1e-7)
     assert report["valueA"] == pytest.approx(report["inequalityA"]["bound"], abs=1e-7)
+
+
+def test_qbell_malformed_geometry(capsys):
+    short = json.dumps(
+        {"thetaA": [0.1, 1.0], "thetaB": [0.3], "phiB": [0.1, 0.2], "phiA": [0.2, 0.3],
+         "chi": 0.3, "psiPrimeNorm": 0.5}
+    )
+    assert main(["qbell", "-i", short]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "thetaB" in err[0]
 
 
 def test_selftest_pass_and_fail(capsys):
@@ -174,6 +198,15 @@ def test_sweep_chi_grid(capsys):
     last = lines[-1].split(",")
     assert float(last[1]) == pytest.approx(math.pi / 4, abs=1e-9)
     assert float(last[2]) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_samples_must_be_positive(capsys):
+    assert main(["sweep", "--samples", "-3"]) == 1
+    assert main(["sweep", "--mode", "chi-grid", "--samples", "0"]) == 1
+    assert main(["counterexample", "--format", "csv", "--samples", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error:") == 3
 
 
 def test_tol_env_variable(monkeypatch, capsys):

@@ -186,3 +186,16 @@ def test_geometry_json_round_trip():
     assert np.array_equal(np.asarray(g2.thetaA), np.asarray(g.thetaA))
     assert np.array_equal(np.asarray(g2.phiB), np.asarray(g.phiB))
     assert g2.chi == g.chi and g2.psiPrimeNorm == g.psiPrimeNorm
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("thetaB", [0.3]), ("phiA", [[0.1, 0.2]]), ("phiB", [0.1, math.nan]),
+     ("chi", math.inf), ("psiPrimeNorm", math.nan)],
+)
+def test_geometry_params_reject_bad_shapes_and_nonfinite(field, value):
+    fields = dict(thetaA=[0.1, 1.0], thetaB=[0.3, 0.4], phiB=[0.1, 0.2], phiA=[0.2, 0.3],
+                  chi=0.3, psiPrimeNorm=0.5)
+    fields[field] = value
+    with pytest.raises(ValueError, match=field):
+        GeometryParams(**fields)

@@ -1,13 +1,20 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import bellgeo
 from bellgeo.behavior import DBehavior
+from bellgeo.cli import main
 from bellgeo.geometry import projection_angles, sign_condition_ok, two_qubit_of
 from bellgeo.qbell import (
+    ROOT_SEPARATION,
     DegenerateGeometryError,
     QuantumBellInequality,
+    _ratio_values,
     chain_slacks,
     construct_pair,
     evaluate,
@@ -188,14 +195,94 @@ def test_uniqueness_random_conforming():
             and abs(tb - math.cos(g.thetaB[0] - g.thetaB[1])) < 1e-4
             for ta, tb, _ in report.solutions
         )
+        assert all(resid <= 1e-12 for _, _, resid in report.solutions)
         trivial += report.trivialOnly
     assert trivial >= 1
+
+
+def _grid_roots(g, n=101, steps=30, h=1e-7):
+    """Roots of the uniqueness system found apart from the solver: every
+    local minimum of the residual on an n x n grid, refined by Gauss-Newton
+    steps with a finite-difference Jacobian, kept when it converges."""
+    _, _, (coeffB, coeffA) = construct_pair(g)
+
+    def residual(x):
+        return _ratio_values(coeffA, x[0]) - _ratio_values(coeffB, x[1])
+
+    ts = np.linspace(-1.0, 1.0, n)
+    res = np.sum(
+        (_ratio_values(coeffA, ts)[:, :, None] - _ratio_values(coeffB, ts)[:, None, :]) ** 2,
+        axis=0,
+    )
+    pad = np.pad(res, 1, constant_values=np.inf)
+    mid = pad[1:-1, 1:-1]
+    is_min = (
+        (mid <= pad[:-2, 1:-1]) & (mid <= pad[2:, 1:-1])
+        & (mid <= pad[1:-1, :-2]) & (mid <= pad[1:-1, 2:])
+    )
+    roots = []
+    for i, j in zip(*np.nonzero(is_min)):
+        x = np.array([ts[i], ts[j]])
+        for _ in range(steps):
+            jac = np.stack(
+                [
+                    (residual(x + [h, 0.0]) - residual(x - [h, 0.0])) / (2 * h),
+                    (residual(x + [0.0, h]) - residual(x - [0.0, h])) / (2 * h),
+                ],
+                axis=1,
+            )
+            x = np.clip(x - np.linalg.lstsq(jac, residual(x), rcond=None)[0], -1.0, 1.0)
+        if np.sum(residual(x) ** 2) <= 1e-20:
+            roots.append(x)
+    return roots
+
+
+def test_uniqueness_finds_every_grid_root():
+    rng = np.random.default_rng(222)
+    for _ in range(5):
+        g = random_conforming(rng)
+        report = uniqueness_check(g)
+        roots = _grid_roots(g)
+        assert roots
+        for ta, tb in roots:
+            assert any(
+                abs(ta - s[0]) <= ROOT_SEPARATION and abs(tb - s[1]) <= ROOT_SEPARATION
+                for s in report.solutions
+            ), f"root ({ta}, {tb}) missing from {report.solutions}"
+
+
+def test_uniqueness_ill_conditioned_reference_has_no_second_root():
+    # the system's smallest Jacobian singular value is about 0.03 here; a
+    # local search stopped short of the reference root and reported a
+    # spurious second one
+    r = TwoQubitRealization(
+        thetaA=[4.2061373426717035, 1.724919968560045],
+        thetaB=[5.25820710404598, 1.45865376210962],
+        chi=0.7113538893957978,
+    )
+    report = uniqueness_check(projection_angles(r))
+    assert report.trivialOnly
+    assert len(report.solutions) == 1
+    assert main(["qbell", "-i", r.to_json()]) == 0
 
 
 def test_uniqueness_maximally_entangled_degenerate_line():
     report = uniqueness_check(projection_angles(tsirelson_realization()))
     assert not report.trivialOnly
     assert len(report.solutions) > 1
+    # the solutions fill the line tA = tB; its clipped endpoints are reported
+    ends = {(round(ta, 9), round(tb, 9)) for ta, tb, _ in report.solutions}
+    assert {(-1.0, -1.0), (1.0, 1.0)} <= ends
+    assert all(abs(ta - tb) <= 1e-12 for ta, tb, _ in report.solutions)
+
+
+def test_cli_import_leaves_scipy_out():
+    code = "import sys, bellgeo.cli; sys.exit('scipy' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(bellgeo.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, timeout=60
+    )
+    assert proc.returncode == 0
 
 
 def test_boundary_coefficient_geometry_still_constructs():
