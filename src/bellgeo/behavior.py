@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jsonio import dumps, loads
+from .jsonio import Record, freeze
 
 DEFAULT_TOL = 1e-9
 
@@ -31,16 +31,8 @@ class InvalidBehaviorError(ValueError):
     """The operation requires a behavior with a valid probability table."""
 
 
-def _frozen(x, shape) -> np.ndarray:
-    a = np.array(x, dtype=float)
-    if a.shape != shape:
-        raise ValueError(f"expected shape {shape}, got {a.shape}")
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
-class CBehavior:
+class CBehavior(Record):
     """Correlator-space behavior {C^A_x, C^B_y, C_xy}."""
 
     cA: np.ndarray
@@ -48,9 +40,9 @@ class CBehavior:
     c: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "cA", _frozen(self.cA, (2,)))
-        object.__setattr__(self, "cB", _frozen(self.cB, (2,)))
-        object.__setattr__(self, "c", _frozen(self.c, (2, 2)))
+        object.__setattr__(self, "cA", freeze(self.cA, (2,), name="cA"))
+        object.__setattr__(self, "cB", freeze(self.cB, (2,), name="cB"))
+        object.__setattr__(self, "c", freeze(self.c, (2, 2), name="c"))
         worst = max(np.abs(self.cA).max(), np.abs(self.cB).max(), np.abs(self.c).max())
         if worst > 1.0 + 1e-9:
             raise ValueError(f"correlator magnitude {worst} exceeds 1")
@@ -58,20 +50,9 @@ class CBehavior:
     def flat(self) -> np.ndarray:
         return np.concatenate([self.cA, self.cB, self.c.ravel()])
 
-    def to_json_dict(self) -> dict:
-        return {"cA": self.cA, "cB": self.cB, "c": self.c}
-
-    def to_json(self, indent: int | None = None) -> str:
-        return dumps(self.to_json_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CBehavior":
-        d = loads(text)
-        return cls(cA=d["cA"], cB=d["cB"], c=d["c"])
-
 
 @dataclass(frozen=True)
-class DBehavior:
+class DBehavior(Record):
     """Guessing-bias-space behavior {delta^B_x, delta^A_y, C_xy}."""
 
     deltaB: np.ndarray
@@ -79,9 +60,9 @@ class DBehavior:
     c: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "deltaB", _frozen(self.deltaB, (2,)))
-        object.__setattr__(self, "deltaA", _frozen(self.deltaA, (2,)))
-        object.__setattr__(self, "c", _frozen(self.c, (2, 2)))
+        object.__setattr__(self, "deltaB", freeze(self.deltaB, (2,), name="deltaB"))
+        object.__setattr__(self, "deltaA", freeze(self.deltaA, (2,), name="deltaA"))
+        object.__setattr__(self, "c", freeze(self.c, (2, 2), name="c"))
         for name in ("deltaB", "deltaA"):
             d = getattr(self, name)
             if d.min() < -1e-9 or d.max() > 1.0 + 1e-9:
@@ -91,17 +72,6 @@ class DBehavior:
 
     def flat(self) -> np.ndarray:
         return np.concatenate([self.deltaB, self.deltaA, self.c.ravel()])
-
-    def to_json_dict(self) -> dict:
-        return {"deltaB": self.deltaB, "deltaA": self.deltaA, "c": self.c}
-
-    def to_json(self, indent: int | None = None) -> str:
-        return dumps(self.to_json_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DBehavior":
-        d = loads(text)
-        return cls(deltaB=d["deltaB"], deltaA=d["deltaA"], c=d["c"])
 
 
 @dataclass(frozen=True)
@@ -114,7 +84,7 @@ class ProbabilityTable:
     p: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "p", _frozen(self.p, (2, 2, 2, 2)))
+        object.__setattr__(self, "p", freeze(self.p, (2, 2, 2, 2), name="p"))
 
     def correlators(self) -> CBehavior:
         """Extract the behavior back from the table (round-trip check)."""

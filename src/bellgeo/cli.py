@@ -12,6 +12,7 @@ Exit codes: 0 for pass verdicts, 2 for fail verdicts, 1 for errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import math
 import os
@@ -43,7 +44,7 @@ def _read_input(arg: str) -> dict:
             raise CliError(f"cannot read input: {exc}") from exc
     try:
         data = jsonio.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise CliError(f"malformed JSON input: {exc}") from exc
     if not isinstance(data, dict):
         raise CliError("input must be a JSON object")
@@ -52,23 +53,24 @@ def _read_input(arg: str) -> dict:
 
 def _parse_object(data: dict):
     """Dispatch on the field signature of the JSON object."""
-    text = jsonio.dumps(data)
+    if "thetaA" in data and "chi" in data and "phiB" not in data:
+        cls = realization.TwoQubitRealization
+    elif "dimA" in data and "psi" in data:
+        cls = realization.GeneralRealization
+    elif "phiB" in data:
+        cls = geometry.GeometryParams
+    elif "cA" in data:
+        cls = behavior.CBehavior
+    elif "deltaB" in data and "deltaA" in data:
+        cls = behavior.DBehavior
+    elif "side" in data and "Vmarg" in data:
+        cls = qbell.QuantumBellInequality
+    else:
+        raise CliError("unrecognized input object (no known field signature)")
     try:
-        if "thetaA" in data and "chi" in data and "phiB" not in data:
-            return realization.TwoQubitRealization.from_json(text)
-        if "dimA" in data and "psi" in data:
-            return realization.GeneralRealization.from_json(text)
-        if "phiB" in data:
-            return geometry.GeometryParams.from_json(text)
-        if "cA" in data:
-            return behavior.CBehavior.from_json(text)
-        if "deltaB" in data and "deltaA" in data:
-            return behavior.DBehavior.from_json(text)
-        if "side" in data and "Vmarg" in data:
-            return qbell.QuantumBellInequality.from_json(text)
-    except (ValueError, KeyError) as exc:
+        return cls.from_dict(data)
+    except ValueError as exc:
         raise CliError(f"cannot parse input object: {exc}") from exc
-    raise CliError("unrecognized input object (no known field signature)")
 
 
 def _as_realization(obj):
@@ -180,13 +182,13 @@ def cmd_selftest(args) -> int:
     data = _read_input(args.input)
     if "base" not in data:
         raise CliError('selftest expects {"base": realization, "B2": ... or "thetaB2": ...}')
+    if not isinstance(data["base"], dict):
+        raise CliError("base must be a JSON object")
     base = _as_realization(_parse_object(data["base"]))
     if "thetaB2" in data:
-        b2 = realization.xz_observable(float(data["thetaB2"]))
+        b2 = realization.xz_observable(jsonio.number(data["thetaB2"], "thetaB2"))
     elif "B2" in data:
-        pairs = data["B2"]
-        z = np.array([complex(re, im) for re, im in pairs])
-        b2 = z.reshape(base.dimB, base.dimB)
+        b2 = jsonio.complex_array(data["B2"], "B2", square=True)
     else:
         raise CliError("selftest input needs B2 (matrix) or thetaB2 (angle)")
     try:
@@ -373,6 +375,7 @@ def cmd_sweep(args) -> int:
     return PASS
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bellgeo",

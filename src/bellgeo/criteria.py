@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .behavior import CBehavior, DBehavior, DEFAULT_TOL, InvalidBehaviorError, is_local, is_valid
-from .jsonio import dumps
+from .jsonio import Record
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ class SignPattern:
 
 
 @dataclass(frozen=True)
-class ExtremalVerdict:
+class ExtremalVerdict(Record):
     """Flags of ``extremal_criterion``; ``sin2chiSquared`` is None when the
     S^+ test fails, since there is no common branch value to report."""
 
@@ -63,20 +63,6 @@ class ExtremalVerdict:
     conjecture1Candidate: bool
     sin2chiSquared: float | None
     residuals: dict
-
-    def to_json(self, indent: int | None = None) -> str:
-        return dumps(
-            {
-                "conditionSPlus": self.conditionSPlus,
-                "tlmBSaturated": self.tlmBSaturated,
-                "tlmASaturated": self.tlmASaturated,
-                "uniquenessTrivial": self.uniquenessTrivial,
-                "conjecture1Candidate": self.conjecture1Candidate,
-                "sin2chiSquared": self.sin2chiSquared,
-                "residuals": self.residuals,
-            },
-            indent=indent,
-        )
 
 
 def s_quantities(b: CBehavior, tol: float = DEFAULT_TOL) -> SQuantities:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .behavior import CBehavior, DBehavior, DEFAULT_TOL
 from .criteria import scaled_correlators, tlm_gap, two_qubit_condition
-from .jsonio import dumps, loads
+from .jsonio import Record, freeze
 from .realization import TwoQubitRealization
 
 
@@ -27,14 +27,8 @@ class ReconstructionError(ValueError):
     """The behavior does not determine a consistent planar geometry."""
 
 
-def _freeze(a) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
-class GeometryParams:
+class GeometryParams(Record):
     """Angles (radians) and the inter-plane vector norm of the planar picture."""
 
     thetaA: np.ndarray
@@ -46,9 +40,7 @@ class GeometryParams:
 
     def __post_init__(self):
         for name in ("thetaA", "thetaB", "phiB", "phiA"):
-            a = _freeze(getattr(self, name))
-            if a.shape != (2,):
-                raise ValueError(f"{name} must hold two angles, got shape {a.shape}")
+            a = freeze(getattr(self, name), (2,), name=name)
             if not np.isfinite(a).all():
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, a)
@@ -57,31 +49,6 @@ class GeometryParams:
             if not math.isfinite(x):
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, x)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "thetaA": self.thetaA,
-            "thetaB": self.thetaB,
-            "phiB": self.phiB,
-            "phiA": self.phiA,
-            "chi": self.chi,
-            "psiPrimeNorm": self.psiPrimeNorm,
-        }
-
-    def to_json(self, indent: int | None = None) -> str:
-        return dumps(self.to_json_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "GeometryParams":
-        d = loads(text)
-        return cls(
-            thetaA=d["thetaA"],
-            thetaB=d["thetaB"],
-            phiB=d["phiB"],
-            phiA=d["phiA"],
-            chi=d["chi"],
-            psiPrimeNorm=d["psiPrimeNorm"],
-        )
 
 
 def projection_angles(r: TwoQubitRealization) -> GeometryParams:
@@ -129,9 +96,14 @@ def sign_condition_ok(g: GeometryParams, tol: float = DEFAULT_TOL) -> bool:
 
 
 def _model_correlators(thetaA, thetaB, sin2chi):
-    return np.cos(thetaA)[:, None] * np.cos(thetaB)[None, :] + sin2chi * (
-        np.sin(thetaA)[:, None] * np.sin(thetaB)[None, :]
+    """Two-qubit correlators C_xy; leading axes of the angle arrays broadcast."""
+    return np.cos(thetaA)[..., :, None] * np.cos(thetaB)[..., None, :] + sin2chi * (
+        np.sin(thetaA)[..., :, None] * np.sin(thetaB)[..., None, :]
     )
+
+
+# angle sign assignments (sA0, sB0, sA1, sB1), all-plus first
+_ANGLE_SIGNS = np.array(list(itertools.product((1.0, -1.0), repeat=4)))
 
 
 def _reconstruct_max_entangled(b: CBehavior, tol: float) -> TwoQubitRealization:
@@ -198,14 +170,15 @@ def reconstruct(b: CBehavior, tol: float = DEFAULT_TOL) -> GeometryParams:
         baseA = np.arccos(np.clip(b.cA / cos2chi, -1.0, 1.0))
         baseB = np.arccos(np.clip(b.cB / cos2chi, -1.0, 1.0))
         chi = 0.5 * math.asin(min(sin2chi, 1.0))
-        for sA0, sB0, sA1, sB1 in itertools.product((1.0, -1.0), repeat=4):
-            thetaA = np.array([sA0 * baseA[0], sA1 * baseA[1]])
-            thetaB = np.array([sB0 * baseB[0], sB1 * baseB[1]])
-            model = _model_correlators(thetaA, thetaB, sin2chi)
-            if np.abs(model - b.c).max() <= 10.0 * tol:
-                return _canonicalize(
-                    TwoQubitRealization(thetaA=thetaA, thetaB=thetaB, chi=chi)
-                )
+        # the best-fitting assignment: at a loose tol a wrong one can also pass
+        thetaA = _ANGLE_SIGNS[:, [0, 2]] * baseA
+        thetaB = _ANGLE_SIGNS[:, [1, 3]] * baseB
+        misfit = np.abs(_model_correlators(thetaA, thetaB, sin2chi) - b.c).max(axis=(1, 2))
+        best = int(misfit.argmin())
+        if misfit[best] <= 10.0 * tol:
+            return _canonicalize(
+                TwoQubitRealization(thetaA=thetaA[best], thetaB=thetaB[best], chi=chi)
+            )
         last_error = f"no sign assignment reproduces the correlators for branch value {common}"
     raise ReconstructionError(last_error)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .behavior import DBehavior, DEFAULT_TOL
 from .geometry import GeometryParams, d_values
-from .jsonio import dumps, loads
+from .jsonio import Record, freeze
 from .realization import simulate_dbehavior
 
 
@@ -25,14 +25,8 @@ class DegenerateGeometryError(ValueError):
     """The geometry does not admit the hyperplane construction."""
 
 
-def _freeze(a) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
-class QuantumBellInequality:
+class QuantumBellInequality(Record):
     """Hyperplane -sum_i Vmarg[i] delta_i + sum_ij Vcorr[i][j] C_.. <= bound.
 
     For side B the correlator coefficient Vcorr[x][y] multiplies C_xy;
@@ -48,27 +42,10 @@ class QuantumBellInequality:
     def __post_init__(self):
         if self.side not in ("A", "B"):
             raise ValueError("side must be 'A' or 'B'")
-        object.__setattr__(self, "Vmarg", _freeze(self.Vmarg))
-        object.__setattr__(self, "Vcorr", _freeze(self.Vcorr))
+        object.__setattr__(self, "Vmarg", freeze(self.Vmarg, (2,), name="Vmarg"))
+        object.__setattr__(self, "Vcorr", freeze(self.Vcorr, (2, 2), name="Vcorr"))
         object.__setattr__(self, "q", float(self.q))
         object.__setattr__(self, "bound", float(self.bound))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "side": self.side,
-            "Vmarg": self.Vmarg,
-            "Vcorr": self.Vcorr,
-            "q": self.q,
-            "bound": self.bound,
-        }
-
-    def to_json(self, indent: int | None = None) -> str:
-        return dumps(self.to_json_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "QuantumBellInequality":
-        d = loads(text)
-        return cls(side=d["side"], Vmarg=d["Vmarg"], Vcorr=d["Vcorr"], q=d["q"], bound=d["bound"])
 
 
 @dataclass(frozen=True)
@@ -134,7 +111,7 @@ def _construct_side(side: str, delta: np.ndarray, D: np.ndarray, dtheta: float):
         alpha = u[0, 1] / u[0, 0] if u[0, 0] != 0.0 else math.inf
         beta = u[1, 0] / u[1, 1] if u[1, 1] != 0.0 else math.inf
     coeff = QBellCoefficients(
-        u=_freeze(u), s=_freeze(s), a=a, b=b, alpha=alpha, beta=beta, dthetaRef=dtheta
+        u=freeze(u), s=freeze(s), a=a, b=b, alpha=alpha, beta=beta, dthetaRef=dtheta
     )
     return ineq, coeff
 

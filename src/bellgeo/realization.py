@@ -7,22 +7,19 @@ are supported for the self-testing machinery, where behaviors must be
 reproduced up to local isometries.
 
 Guessing biases are computed twice, by independent routes: a closed form
-in the eigenbasis of the reduced state, and a numerical maximization over
-the guessing party's Hermitian operators.
+in the eigenbasis of the reduced state, and a linear solve for the
+maximization over the guessing party's Hermitian operators.
 """
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .behavior import CBehavior, DBehavior
-from .jsonio import dumps, loads
-
-log = logging.getLogger(__name__)
+from .jsonio import COMPLEX_MATRIX, COMPLEX_VECTOR, Record, freeze
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA2 = np.array([[0.0, -1.0j], [0.0 + 1.0j, 0.0]])
@@ -35,14 +32,8 @@ SUPPORT_CUTOFF = 1e-12
 _VALIDATE_TOL = 1e-9
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.array(a)
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
-class TwoQubitRealization:
+class TwoQubitRealization(Record):
     """X-Z plane observables on cos(chi)|00> + sin(chi)|11>."""
 
     thetaA: np.ndarray
@@ -50,24 +41,11 @@ class TwoQubitRealization:
     chi: float
 
     def __post_init__(self):
-        object.__setattr__(self, "thetaA", _freeze(np.asarray(self.thetaA, dtype=float)))
-        object.__setattr__(self, "thetaB", _freeze(np.asarray(self.thetaB, dtype=float)))
+        object.__setattr__(self, "thetaA", freeze(self.thetaA, (2,), name="thetaA"))
+        object.__setattr__(self, "thetaB", freeze(self.thetaB, (2,), name="thetaB"))
         object.__setattr__(self, "chi", float(self.chi))
-        if self.thetaA.shape != (2,) or self.thetaB.shape != (2,):
-            raise ValueError("thetaA and thetaB must each hold two angles")
         if not -1e-12 <= self.chi <= math.pi / 4 + 1e-12:
             raise ValueError(f"chi={self.chi} outside the convention [0, pi/4]")
-
-    def to_json_dict(self) -> dict:
-        return {"thetaA": self.thetaA, "thetaB": self.thetaB, "chi": self.chi}
-
-    def to_json(self, indent: int | None = None) -> str:
-        return dumps(self.to_json_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TwoQubitRealization":
-        d = loads(text)
-        return cls(thetaA=d["thetaA"], thetaB=d["thetaB"], chi=d["chi"])
 
 
 def _check_observable(m: np.ndarray, dim: int, name: str):
@@ -80,32 +58,32 @@ def _check_observable(m: np.ndarray, dim: int, name: str):
 
 
 @dataclass(frozen=True)
-class GeneralRealization:
+class GeneralRealization(Record):
     """Shared pure state with two binary observables per side."""
 
     dimA: int
     dimB: int
-    psi: np.ndarray
-    A: tuple
-    B: tuple
+    psi: np.ndarray = field(metadata=COMPLEX_VECTOR)
+    A: tuple = field(metadata=COMPLEX_MATRIX)
+    B: tuple = field(metadata=COMPLEX_MATRIX)
 
     def __post_init__(self):
         object.__setattr__(self, "dimA", int(self.dimA))
         object.__setattr__(self, "dimB", int(self.dimB))
-        psi = np.asarray(self.psi, dtype=complex).reshape(-1)
+        psi = freeze(self.psi, dtype=complex).reshape(-1)
         if psi.shape != (self.dimA * self.dimB,):
             raise ValueError("psi length must be dimA*dimB")
         if abs(np.linalg.norm(psi) - 1.0) > _VALIDATE_TOL:
             raise ValueError("psi must be normalized")
-        A = tuple(_freeze(np.asarray(m, dtype=complex)) for m in self.A)
-        B = tuple(_freeze(np.asarray(m, dtype=complex)) for m in self.B)
+        A = tuple(freeze(m, dtype=complex) for m in self.A)
+        B = tuple(freeze(m, dtype=complex) for m in self.B)
         if len(A) != 2 or len(B) != 2:
             raise ValueError("need exactly two observables per side")
         for i, m in enumerate(A):
             _check_observable(m, self.dimA, f"A[{i}]")
         for i, m in enumerate(B):
             _check_observable(m, self.dimB, f"B[{i}]")
-        object.__setattr__(self, "psi", _freeze(psi))
+        object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
 
@@ -113,39 +91,6 @@ class GeneralRealization:
     def state_matrix(self) -> np.ndarray:
         """psi reshaped to (dimA, dimB); row index is Alice's."""
         return self.psi.reshape(self.dimA, self.dimB)
-
-    def to_json_dict(self) -> dict:
-        def mat(m):
-            return [[float(z.real), float(z.imag)] for z in m.ravel()]
-
-        return {
-            "dimA": self.dimA,
-            "dimB": self.dimB,
-            "psi": [[float(z.real), float(z.imag)] for z in self.psi],
-            "A": [mat(m) for m in self.A],
-            "B": [mat(m) for m in self.B],
-        }
-
-    def to_json(self, indent: int | None = None) -> str:
-        return dumps(self.to_json_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "GeneralRealization":
-        d = loads(text)
-        dimA, dimB = int(d["dimA"]), int(d["dimB"])
-
-        def unmat(pairs, dim):
-            z = np.array([complex(re, im) for re, im in pairs])
-            return z.reshape(dim, dim)
-
-        psi = np.array([complex(re, im) for re, im in d["psi"]])
-        return cls(
-            dimA=dimA,
-            dimB=dimB,
-            psi=psi,
-            A=tuple(unmat(m, dimA) for m in d["A"]),
-            B=tuple(unmat(m, dimB) for m in d["B"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -226,11 +171,11 @@ def conditional_states(r, side: str, setting: int) -> ConditionalStates:
     evals, evecs = np.linalg.eigh(rho)
     overlaps = evecs.conj().T @ (rho_p - rho_m) @ evecs
     return ConditionalStates(
-        rhoPlus=_freeze(rho_p),
-        rhoMinus=_freeze(rho_m),
-        rhoSum=_freeze(rho),
-        eigenvalues=_freeze(evals),
-        overlaps=_freeze(overlaps),
+        rhoPlus=freeze(rho_p, dtype=complex),
+        rhoMinus=freeze(rho_m, dtype=complex),
+        rhoSum=freeze(rho, dtype=complex),
+        eigenvalues=freeze(evals),
+        overlaps=freeze(overlaps, dtype=complex),
     )
 
 
@@ -269,79 +214,26 @@ def _hermitian_basis(k: int) -> list[np.ndarray]:
     return basis
 
 
-def guessing_bias_oracle(
-    r,
-    side: str,
-    setting: int,
-    restarts: int = 20,
-    iterations: int = 500,
-    rng: np.random.Generator | None = None,
-    grad_tol: float = 1e-13,
-) -> float:
+def guessing_bias_oracle(r, side: str, setting: int) -> float:
     """Guessing bias by direct maximization over the guesser's operators.
 
-    Maximizes tr(Delta X) over Hermitian X subject to tr(rho X^2) = 1 by
-    projected gradient ascent with exact line search, restricted to the
-    support of the reduced state (operators outside it cannot help).
-    Independent of :func:`guessing_bias`.
+    Maximizes tr(Delta X) over Hermitian X subject to tr(rho X^2) = 1,
+    restricted to the support of the reduced state (operators outside it
+    cannot help).  In a Hermitian basis {E_i} this is max c.v subject to
+    v^T Q v = 1 with c_i = tr(Delta E_i) and Q_ij = Re tr(rho E_i E_j),
+    positive definite on the support, whose value is sqrt(c^T Q^-1 c): one
+    linear solve.  Independent of :func:`guessing_bias`, which works in the
+    eigenbasis of the reduced state.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     cs = conditional_states(r, side, setting)
     keep = cs.eigenvalues > SUPPORT_CUTOFF
     evecs = np.linalg.eigh(np.asarray(cs.rhoSum))[1][:, keep]
     rho = evecs.conj().T @ cs.rhoSum @ evecs
     delta = evecs.conj().T @ (cs.rhoPlus - cs.rhoMinus) @ evecs
-    k = rho.shape[0]
-    basis = _hermitian_basis(k)
-    n = len(basis)
-    cvec = np.array([float(np.trace(delta @ e).real) for e in basis])
-    if np.linalg.norm(cvec) < 1e-14:
-        return 0.0
-    q = np.empty((n, n))
-    for i, ei in enumerate(basis):
-        for j, ej in enumerate(basis):
-            q[i, j] = float(np.trace(rho @ (ei @ ej + ej @ ei)).real) / 2.0
-
-    def value(v):
-        return float(cvec @ v) / math.sqrt(float(v @ q @ v))
-
-    best = -np.inf
-    best_residual = np.inf
-    starts = [cvec.copy()] + [rng.standard_normal(n) for _ in range(restarts - 1)]
-    for v in starts:
-        qn = float(v @ q @ v)
-        if qn <= 0:
-            continue
-        v = v / math.sqrt(qn)
-        for _ in range(iterations):
-            qv = q @ v
-            f = float(cvec @ v)
-            grad = cvec - f * qv  # gradient of the scale-invariant ratio at vQv=1
-            gnorm = float(np.linalg.norm(grad))
-            if gnorm < grad_tol:
-                break
-            u = grad
-            a_, b_ = f, float(cvec @ u)
-            r_, s_ = float(v @ q @ u), float(u @ q @ u)
-            den = b_ * r_ - a_ * s_
-            if abs(den) < 1e-300:
-                break
-            t = (a_ * r_ - b_ * 1.0) / den
-            v = v + t * u
-            v = v / math.sqrt(float(v @ q @ v))
-        val = value(v)
-        residual = float(np.linalg.norm(cvec - val * (q @ v)))
-        if val > best:
-            best = val
-            best_residual = residual
-    if best_residual > 1e-6:
-        log.warning(
-            "bias maximization did not fully converge: value=%g stationarity residual=%g",
-            best,
-            best_residual,
-        )
-    return float(best)
+    basis = np.array(_hermitian_basis(rho.shape[0]))
+    cvec = np.einsum("ab,iba->i", delta, basis).real
+    q = np.einsum("ca,iab,jbc->ij", rho, basis, basis).real
+    return math.sqrt(max(float(cvec @ np.linalg.solve(q, cvec)), 0.0))
 
 
 def simulate_dbehavior(r) -> DBehavior:

@@ -23,6 +23,7 @@ from .geometry import (
     reconstruct,
     symmetry_transforms,
 )
+from .jsonio import freeze
 from .realization import GeneralRealization, simulate_cbehavior
 
 #: Residual threshold below which an operator identity counts as certified.
@@ -53,7 +54,7 @@ class ExtendedRealization:
     B2: np.ndarray
 
     def __post_init__(self):
-        b2 = np.asarray(self.B2, dtype=complex)
+        b2 = freeze(self.B2, dtype=complex)
         dim = self.base.dimB
         if b2.shape != (dim, dim):
             raise ValueError(f"B2 must be {dim}x{dim}")
@@ -61,8 +62,6 @@ class ExtendedRealization:
             raise ValueError("B2 is not Hermitian")
         if np.abs(b2 @ b2 - np.eye(dim)).max() > 1e-12:
             raise ValueError("B2 does not square to the identity")
-        b2 = b2.copy()
-        b2.setflags(write=False)
         object.__setattr__(self, "B2", b2)
 
 

@@ -242,7 +242,7 @@ def test_acceptance_6_guessing_bias():
         setting = int(rng.integers(0, 2))
         worst_oracle = max(
             worst_oracle,
-            abs(guessing_bias(r, side, setting) - guessing_bias_oracle(r, side, setting, rng=rng)),
+            abs(guessing_bias(r, side, setting) - guessing_bias_oracle(r, side, setting)),
         )
     worst_d = 0.0
     for _ in range(100):

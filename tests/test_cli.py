@@ -1,8 +1,12 @@
 import json
 import math
 
+import contextlib
+import io
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bellgeo.cli import main
 from bellgeo.realization import TwoQubitRealization
@@ -32,6 +36,9 @@ def test_simulate_realization(capsys):
 
 def test_simulate_malformed_json(capsys):
     assert main(["simulate", "-i", "{not json"]) == 1
+    assert "error" in capsys.readouterr().err
+    deep = "{" + '"a": ' + "[" * 100_000
+    assert main(["simulate", "-i", deep]) == 1
     assert "error" in capsys.readouterr().err
 
 
@@ -216,3 +223,92 @@ def test_tol_env_variable(monkeypatch, capsys):
     monkeypatch.setenv("NONLOC_TOL", "1e-13")
     # overly tight tolerance makes the reconstruction reject the same input
     assert main(["geometry", "-i", P_JSON]) == 2
+
+
+SIGMA3_PAIRS = [[1, 0], [0, 0], [0, 0], [-1, 0]]
+
+
+def test_selftest_resolves_barely_resolved_signs(capsys):
+    # thetaA_1 is within 1.2e-3 of pi: at the protocol's reconstruction
+    # tolerance a wrong sign assignment also fits, and only the best-fitting
+    # one certifies
+    base = {"thetaA": [5.772619754553491, 3.140425647940171],
+            "thetaB": [0.8323370302998073, 6.093489034671855], "chi": 0.44804837003084674}
+    req = json.dumps({"base": base, "B2": SIGMA3_PAIRS, "protocol": "addedZ"})
+    assert main(["selftest", "-i", req]) == 0
+    assert json.loads(capsys.readouterr().out)["selfTested"] is True
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "command, text, field",
+    [
+        ("check", json.dumps({"cA": {"a": 1}, "cB": [0, 0], "c": [[0, 0], [0, 0]]}), "cA"),
+        ("simulate", json.dumps({"thetaA": [0, 1], "thetaB": [0, 1], "chi": [0.1]}), "chi"),
+        ("simulate", json.dumps({"dimA": 2, "dimB": 2, "psi": [1, 0, 0, 0],
+                                 "A": [SIGMA3_PAIRS] * 2, "B": [SIGMA3_PAIRS] * 2}), "psi"),
+        ("selftest", json.dumps({"base": json.loads(P_JSON), "B2": 5}), "B2"),
+        ("selftest", json.dumps({"base": json.loads(P_JSON), "thetaB2": [1]}), "thetaB2"),
+        ("selftest", json.dumps({"base": None, "thetaB2": 0.0}), "base"),
+        ("check", json.dumps({"cA": [NAN, 0], "cB": [0, 0], "c": [[0, 0], [0, 0]]}), "cA"),
+        ("check", json.dumps({"deltaB": [NAN, 1], "deltaA": [1, 1], "c": [[0, 0], [0, 0]]}),
+         "deltaB"),
+        ("simulate", json.dumps({"thetaA": [0, 1], "thetaB": [0, 1], "chi": NAN}), "chi"),
+        ("geometry", json.dumps({"thetaA": [0, 1], "thetaB": [0, INF], "chi": 0.3}), "thetaB"),
+        ("qbell", '{"thetaA": [0, 1], "thetaB": [0, 1e999], "chi": 0.3}', "thetaB"),
+        ("qbell", json.dumps({"thetaA": [0.1, 1.0], "thetaB": [0.3, 0.4], "phiB": [0.1, 0.2],
+                              "phiA": [0.2, 0.3], "chi": 0.3}), "psiPrimeNorm"),
+        ("selftest", json.dumps({"base": json.loads(P_JSON),
+                                 "B2": [[NAN, 0], [0, 0], [0, 0], [-1, 0]]}), "B2"),
+    ],
+    ids=["cA-object", "chi-list", "psi-plain-numbers", "B2-number", "thetaB2-list",
+         "base-null", "cA-nan", "deltaB-nan", "chi-nan", "thetaB-infinity", "thetaB-1e999",
+         "psiPrimeNorm-missing", "B2-nan"],
+)
+def test_malformed_field_is_one_error_line(capsys, command, text, field):
+    assert main([command, "-i", text]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert captured.out == ""
+    assert len(err) == 1 and err[0].startswith("error:") and field in err[0], err
+
+
+_FIELDS = ["cA", "cB", "c", "deltaB", "deltaA", "thetaA", "thetaB", "chi", "phiB", "phiA",
+           "psiPrimeNorm", "dimA", "dimB", "psi", "A", "B", "side", "Vmarg", "Vcorr", "q",
+           "bound"]
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 5) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=10,
+)
+# values of the shapes the records hold, so that inputs also get past decoding
+_number = st.floats(-1.2, 1.2) | st.sampled_from([0.0, 1.0, -1.0, NAN, INF, 1e300])
+_pair = st.lists(_number, min_size=2, max_size=2)
+_pairs = st.lists(_pair, min_size=1, max_size=9)
+_values = st.one_of(
+    _json_values, _number, _pair, st.lists(_pair, min_size=2, max_size=2), _pairs,
+    st.lists(_pairs, min_size=2, max_size=2), st.integers(0, 4),
+)
+_objects = st.fixed_dictionaries({}, optional={k: _values for k in _FIELDS})
+_requests = st.fixed_dictionaries(
+    {},
+    optional={**{k: _values for k in _FIELDS}, "base": _objects | _values, "B2": _values,
+              "thetaB2": _values, "protocol": st.sampled_from(["addedZ", "paired"]) | _values},
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(["simulate", "check", "geometry", "qbell", "selftest"]), _requests)
+def test_fuzzed_json_input_ends_in_verdict_or_one_error(command, request):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "-i", json.dumps(request)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        lines = err.getvalue().strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
