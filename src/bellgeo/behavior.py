@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jsonio import Record, freeze
-
-DEFAULT_TOL = 1e-9
+from .tolerances import DEFAULT_TOL, VALIDATE_TOL
 
 #: Sign patterns (s00, s01, s10, s11) with an odd number of minus signs.
 #: These are the eight CHSH facets of the local polytope in the 2x2x2
@@ -44,7 +43,7 @@ class CBehavior(Record):
         object.__setattr__(self, "cB", freeze(self.cB, (2,), name="cB"))
         object.__setattr__(self, "c", freeze(self.c, (2, 2), name="c"))
         worst = max(np.abs(self.cA).max(), np.abs(self.cB).max(), np.abs(self.c).max())
-        if worst > 1.0 + 1e-9:
+        if worst > 1.0 + VALIDATE_TOL:
             raise ValueError(f"correlator magnitude {worst} exceeds 1")
 
     def flat(self) -> np.ndarray:
@@ -65,9 +64,9 @@ class DBehavior(Record):
         object.__setattr__(self, "c", freeze(self.c, (2, 2), name="c"))
         for name in ("deltaB", "deltaA"):
             d = getattr(self, name)
-            if d.min() < -1e-9 or d.max() > 1.0 + 1e-9:
+            if d.min() < -VALIDATE_TOL or d.max() > 1.0 + VALIDATE_TOL:
                 raise ValueError(f"{name} entries must lie in [0, 1], got {d}")
-        if np.abs(self.c).max() > 1.0 + 1e-9:
+        if np.abs(self.c).max() > 1.0 + VALIDATE_TOL:
             raise ValueError("correlator magnitude exceeds 1")
 
     def flat(self) -> np.ndarray:

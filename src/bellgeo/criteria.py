@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .behavior import CBehavior, DBehavior, DEFAULT_TOL, InvalidBehaviorError, is_local, is_valid
+from .behavior import CBehavior, DBehavior, InvalidBehaviorError, is_local, is_valid
 from .jsonio import Record
+from .tolerances import DEFAULT_TOL, root_tol
 
 
 @dataclass(frozen=True)
@@ -79,32 +80,43 @@ def s_quantities(b: CBehavior, tol: float = DEFAULT_TOL) -> SQuantities:
     return SQuantities(J=J, K=K, sPlus=0.5 * (J + root), sMinus=0.5 * (J - root))
 
 
-def _h_product(b: CBehavior, common: float) -> float:
-    return float(np.prod((1.0 - common) * b.c - b.cA[:, None] * b.cB[None, :]))
+# the 16 branch patterns p[x][y], all-plus first
+_PATTERNS = np.array(list(itertools.product((1, -1), repeat=4))).reshape(16, 2, 2)
+
+
+def _branch_table(b: CBehavior, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Spread, commonValue and H product of every branch pattern, in one broadcast.
+
+    Row k selects S^+ where ``_PATTERNS[k]`` is +1 and S^- where it is -1;
+    row 0 is the all-plus pattern.
+    """
+    s = s_quantities(b, tol)
+    vals = np.where(_PATTERNS > 0, s.sPlus, s.sMinus)
+    spread = vals.max(axis=(1, 2)) - vals.min(axis=(1, 2))
+    common = vals.mean(axis=(1, 2))
+    h = np.prod((1.0 - common)[:, None, None] * b.c - b.cA[:, None] * b.cB[None, :], axis=(1, 2))
+    return spread, common, h
 
 
 def two_qubit_condition(b: CBehavior, tol: float = DEFAULT_TOL) -> list[SignPattern]:
     """All branch assignments consistent with some two-qubit realization.
 
-    Enumerates the 16 sign patterns, keeping those whose selected branch
-    values agree within ``tol`` and whose H product is >= -tol.  Patterns
-    that only differ at branch-degenerate pairs (S^+ = S^-) are merged, so
-    each accepted commonValue appears once.
+    Walks the 16 sign patterns tightest spread first, keeping those whose
+    selected branch values agree within ``tol`` and whose H product is
+    >= -tol.  A pattern whose commonValue is within ``tol`` of an accepted
+    one is merged into it, so each accepted commonValue appears once and
+    comes from its tightest pattern: at a loose ``tol`` a pattern that is
+    nearly branch-degenerate at one pair can otherwise stand in for the
+    exact one, about sqrt(tol) off.
     """
-    s = s_quantities(b, tol)
+    spread, common, h = _branch_table(b, tol)
     found: list[SignPattern] = []
-    for signs in itertools.product((1, -1), repeat=4):
-        g = np.array(signs).reshape(2, 2)
-        vals = np.where(g > 0, s.sPlus, s.sMinus)
-        if vals.max() - vals.min() > tol:
+    for k in np.argsort(spread, kind="stable"):
+        if spread[k] > tol:
+            break
+        if h[k] < -tol or any(abs(common[k] - f.commonValue) <= tol for f in found):
             continue
-        common = float(vals.mean())
-        if any(abs(common - f.commonValue) <= tol for f in found):
-            continue
-        h = _h_product(b, common)
-        if h < -tol:
-            continue
-        found.append(SignPattern(p=g, commonValue=common, H=h))
+        found.append(SignPattern(p=_PATTERNS[k], commonValue=float(common[k]), H=float(h[k])))
     return found
 
 
@@ -163,6 +175,22 @@ def scaled_correlators(d: DBehavior, side: str) -> np.ndarray:
     return ct
 
 
+def saturation_gaps(b: CBehavior, sin2chiSq: float) -> tuple[float, float]:
+    """Boundary gaps (B, A) of the scaled correlators at a branch value.
+
+    The correlators are scaled by the guessing biases of the two-qubit
+    point with this branch value (``d_quantities``, clipped to [0, 1]) and
+    clipped to [-1, 1] before ``tlm_gap``.  Both gaps vanish on a behavior
+    whose geometry the branch value determines.
+    """
+    dB, dA = d_quantities(b, sin2chiSq)
+    d = DBehavior(deltaB=np.clip(dB, 0.0, 1.0), deltaA=np.clip(dA, 0.0, 1.0), c=b.c)
+    return (
+        tlm_gap(np.clip(scaled_correlators(d, "B"), -1.0, 1.0)),
+        tlm_gap(np.clip(scaled_correlators(d, "A"), -1.0, 1.0)),
+    )
+
+
 def crypt_gaps(d: DBehavior, tol: float = DEFAULT_TOL) -> dict:
     """Slacks of the necessary quantum conditions in guessing-bias space.
 
@@ -180,7 +208,7 @@ def crypt_gaps(d: DBehavior, tol: float = DEFAULT_TOL) -> dict:
             cap = float((root[None, :] - np.abs(d.c)).min())
         gaps["cap" + side] = cap
         ct = scaled_correlators(d, side)
-        if np.abs(ct).max() > 1.0 + math.sqrt(tol):
+        if np.abs(ct).max() > 1.0 + root_tol(tol):
             # scaled correlator out of range; report the cap deficit as the gap
             gaps["tlm" + side] = min(cap, 0.0)
         else:
@@ -209,34 +237,24 @@ def extremal_criterion(b: CBehavior, tol: float = DEFAULT_TOL) -> ExtremalVerdic
         raise InvalidBehaviorError("extremal criterion requires a valid behavior")
     if is_local(b, tol):
         raise InvalidBehaviorError("extremal criterion addresses nonlocal behaviors only")
-    s = s_quantities(b, tol)
-    spread = float(s.sPlus.max() - s.sPlus.min())
-    common = float(s.sPlus.mean())
-    h = _h_product(b, common)
+    spread, common, h = (float(v[0]) for v in _branch_table(b, tol))
     cond_splus = spread <= tol and h >= -tol
     residuals = {"sPlusSpread": spread, "hProduct": h}
     tlm_b = tlm_a = False
     uniq_trivial = False
     if cond_splus:
-        dB, dA = d_quantities(b, min(common, 1.0))
-        d = DBehavior(deltaB=np.clip(dB, 0.0, 1.0), deltaA=np.clip(dA, 0.0, 1.0), c=b.c)
-        try:
-            gb = tlm_gap(np.clip(scaled_correlators(d, "B"), -1.0, 1.0), tol)
-            ga = tlm_gap(np.clip(scaled_correlators(d, "A"), -1.0, 1.0), tol)
-        except InvalidBehaviorError:
-            gb = ga = math.inf
+        gb, ga = saturation_gaps(b, min(common, 1.0))
         residuals["tlmGapB"] = gb
         residuals["tlmGapA"] = ga
-        # saturation of a square-root expression: tolerance loosened to sqrt(tol)
-        tlm_b = abs(gb) <= math.sqrt(tol)
-        tlm_a = abs(ga) <= math.sqrt(tol)
+        tlm_b = abs(gb) <= root_tol(tol)
+        tlm_a = abs(ga) <= root_tol(tol)
         if tlm_b and tlm_a:
             # deferred import: the reconstruction layer builds on this module
             from .geometry import ReconstructionError, reconstruct
             from .qbell import DegenerateGeometryError, uniqueness_check
 
             try:
-                g = reconstruct(b, tol=math.sqrt(tol))
+                g = reconstruct(b, tol=root_tol(tol))
                 uniq = uniqueness_check(g)
                 uniq_trivial = uniq.trivialOnly
                 residuals["uniquenessSolutions"] = len(uniq.solutions)

@@ -17,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .behavior import CBehavior, DBehavior, DEFAULT_TOL
-from .criteria import scaled_correlators, tlm_gap, two_qubit_condition
+from .behavior import CBehavior
+from .criteria import d_quantities, saturation_gaps, two_qubit_condition
 from .jsonio import Record, freeze
 from .realization import TwoQubitRealization
+from .tolerances import DEFAULT_TOL, MAX_ENTANGLED_SLACK, MODEL_FIT_FACTOR, ROUNDING_ZERO
 
 
 class ReconstructionError(ValueError):
@@ -109,7 +110,7 @@ _ANGLE_SIGNS = np.array(list(itertools.product((1.0, -1.0), repeat=4)))
 def _reconstruct_max_entangled(b: CBehavior, tol: float) -> TwoQubitRealization:
     # marginals carry no information at chi = pi/4; angles come from the
     # correlators alone, with theta^A_0 = 0 as gauge
-    if max(np.abs(b.cA).max(), np.abs(b.cB).max()) > 10.0 * tol:
+    if max(np.abs(b.cA).max(), np.abs(b.cB).max()) > MODEL_FIT_FACTOR * tol:
         raise ReconstructionError(
             "branch value 1 requires vanishing marginals, got "
             f"{np.abs(np.concatenate([b.cA, b.cB])).max()}"
@@ -120,7 +121,7 @@ def _reconstruct_max_entangled(b: CBehavior, tol: float) -> TwoQubitRealization:
         tB1 = sB1 * math.acos(c[0, 1])
         tA1 = tB0 + sA1 * math.acos(c[1, 0])
         model = _model_correlators(np.array([0.0, tA1]), np.array([tB0, tB1]), 1.0)
-        if np.abs(model - b.c).max() <= 10.0 * tol:
+        if np.abs(model - b.c).max() <= MODEL_FIT_FACTOR * tol:
             return TwoQubitRealization(thetaA=(0.0, tA1), thetaB=(tB0, tB1), chi=math.pi / 4)
     raise ReconstructionError("no angle assignment reproduces the correlators at chi=pi/4")
 
@@ -138,14 +139,11 @@ def reconstruct(b: CBehavior, tol: float = DEFAULT_TOL) -> GeometryParams:
     last_error = "no branch value yields a consistent geometry"
     for pat in patterns:
         common = min(max(pat.commonValue, 0.0), 1.0)
-        dB = b.cA**2 + common
-        dA = b.cB**2 + common
-        if dB.max() > 1.0 + 10.0 * tol or dA.max() > 1.0 + 10.0 * tol:
+        dB, dA = d_quantities(b, common)
+        if dB.max() > 1.0 + MODEL_FIT_FACTOR * tol or dA.max() > 1.0 + MODEL_FIT_FACTOR * tol:
             last_error = f"bias coordinate exceeds 1 for branch value {common}"
             continue
-        d = DBehavior(deltaB=np.clip(dB, 0.0, 1.0), deltaA=np.clip(dA, 0.0, 1.0), c=b.c)
-        gapB = tlm_gap(np.clip(scaled_correlators(d, "B"), -1.0, 1.0))
-        gapA = tlm_gap(np.clip(scaled_correlators(d, "A"), -1.0, 1.0))
+        gapB, gapA = saturation_gaps(b, common)
         if abs(gapB) > tol or abs(gapA) > tol:
             last_error = (
                 f"scaled-correlator boundary not saturated (gaps {gapB}, {gapA}) "
@@ -153,7 +151,7 @@ def reconstruct(b: CBehavior, tol: float = DEFAULT_TOL) -> GeometryParams:
             )
             continue
         sin2chi = math.sqrt(common)
-        if common > 1.0 - 1e-12:
+        if common > 1.0 - MAX_ENTANGLED_SLACK:
             try:
                 r = _reconstruct_max_entangled(b, tol)
             except ReconstructionError as exc:
@@ -175,7 +173,7 @@ def reconstruct(b: CBehavior, tol: float = DEFAULT_TOL) -> GeometryParams:
         thetaB = _ANGLE_SIGNS[:, [1, 3]] * baseB
         misfit = np.abs(_model_correlators(thetaA, thetaB, sin2chi) - b.c).max(axis=(1, 2))
         best = int(misfit.argmin())
-        if misfit[best] <= 10.0 * tol:
+        if misfit[best] <= MODEL_FIT_FACTOR * tol:
             return _canonicalize(
                 TwoQubitRealization(thetaA=thetaA[best], thetaB=thetaB[best], chi=chi)
             )
@@ -186,7 +184,7 @@ def reconstruct(b: CBehavior, tol: float = DEFAULT_TOL) -> GeometryParams:
 def _canonicalize(r: TwoQubitRealization) -> GeometryParams:
     sA = math.sin(r.thetaA[0])
     sB = math.sin(r.thetaB[0])
-    if sA < -1e-15 or (abs(sA) <= 1e-15 and sB < -1e-15):
+    if sA < -ROUNDING_ZERO or (abs(sA) <= ROUNDING_ZERO and sB < -ROUNDING_ZERO):
         r = TwoQubitRealization(thetaA=-r.thetaA, thetaB=-r.thetaB, chi=r.chi)
     return projection_angles(r)
 

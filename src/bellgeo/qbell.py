@@ -15,10 +15,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .behavior import DBehavior, DEFAULT_TOL
+from .behavior import DBehavior
 from .geometry import GeometryParams, d_values
 from .jsonio import Record, freeze
 from .realization import simulate_dbehavior
+from .tolerances import (
+    DEFAULT_TOL,
+    DEGENERATE_SIN,
+    ORIENTATION_SLACK,
+    RANK_TOL,
+    RATIO_DENOMINATOR_MIN,
+    ROOT_SEPARATION,
+    ROUNDING_ZERO,
+    UNIQUENESS_RESIDUAL,
+    root_tol,
+)
 
 
 class DegenerateGeometryError(ValueError):
@@ -76,17 +87,17 @@ class UniquenessReport:
 
 def _construct_side(side: str, delta: np.ndarray, D: np.ndarray, dtheta: float):
     sdt = math.sin(dtheta)
-    if abs(sdt) < 1e-12:
+    if abs(sdt) < DEGENERATE_SIN:
         raise DegenerateGeometryError(f"side {side}: theta_0 - theta_1 is degenerate (sin = 0)")
     sd = np.sin(delta)
     pi0 = sd[0, 0] * sd[0, 1]
     pi1 = sd[1, 0] * sd[1, 1]
     denom = pi1 - pi0
-    if abs(denom) < 1e-15:
+    if abs(denom) < ROUNDING_ZERO:
         raise DegenerateGeometryError(f"side {side}: both orientation products vanish")
     ra = pi1 / denom
     rb = -pi0 / denom
-    if ra < -1e-12 or rb < -1e-12:
+    if ra < -ORIENTATION_SLACK or rb < -ORIENTATION_SLACK:
         raise DegenerateGeometryError(
             f"side {side}: orientation condition violated (a^2={ra}, b^2={rb})"
         )
@@ -180,7 +191,7 @@ def verify_cryptographic_chain(
             np.abs(ref.cB - got.cB).max(),
             np.abs(ref.c - got.c).max(),
         )
-        if mismatch > math.sqrt(tol):
+        if mismatch > root_tol(tol):
             raise ValueError(f"realization behavior differs from geometry by {mismatch}")
     return {
         "B": chain_slacks(ineqB, coeffB, d),
@@ -197,16 +208,6 @@ def recovered_d_squared(coeff: QBellCoefficients, q: float, t: float) -> tuple[f
     return float(d0), float(d1)
 
 
-
-
-#: Two roots of the uniqueness system closer than this in both cosines are
-#: one root, and a root this close to the reference cosines is the trivial one.
-ROOT_SEPARATION = 1e-6
-
-#: A sign pattern whose smaller singular value is below this fraction of the
-#: larger one has a rank-1 system: its solutions, if any, form a line.
-RANK_TOL = 1e-9
-
 # the 16 sign patterns sigma of the four equations, all-plus (the reference
 # root's pattern) first
 _SIGNS = np.array(list(itertools.product((1.0, -1.0), repeat=4)))
@@ -222,7 +223,7 @@ def _ratio_coefficients(coeff: QBellCoefficients) -> tuple[np.ndarray, np.ndarra
     p = np.array([u[0, 0], u[0, 1], u[1, 0], u[1, 1]])
     q = np.array([u[0, 1], u[0, 0], -u[1, 1], -u[1, 0]])
     ref = p + q * math.cos(coeff.dthetaRef)
-    if np.abs(ref).min() < 1e-10:
+    if np.abs(ref).min() < RATIO_DENOMINATOR_MIN:
         raise DegenerateGeometryError(
             "a uniqueness-equation denominator vanishes at the reference angle"
         )
@@ -255,7 +256,7 @@ def _same_root(a, b) -> bool:
     return abs(a[0] - b[0]) <= ROOT_SEPARATION and abs(a[1] - b[1]) <= ROOT_SEPARATION
 
 
-def uniqueness_check(g: GeometryParams, tol: float = 1e-8) -> UniquenessReport:
+def uniqueness_check(g: GeometryParams, tol: float = UNIQUENESS_RESIDUAL) -> UniquenessReport:
     """Decide whether g's hyperplane pair admits only the trivial solution.
 
     The four equations equate side-A and side-B squared ratios,

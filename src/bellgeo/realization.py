@@ -20,16 +20,11 @@ import numpy as np
 
 from .behavior import CBehavior, DBehavior
 from .jsonio import COMPLEX_MATRIX, COMPLEX_VECTOR, Record, freeze
+from .tolerances import CHI_RANGE_SLACK, SUPPORT_CUTOFF, VALIDATE_TOL
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA2 = np.array([[0.0, -1.0j], [0.0 + 1.0j, 0.0]])
 SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]])
-
-#: Reduced-state eigenvalues at or below this value are treated as outside
-#: the support; the excluded terms of the bias formula carry zero weight.
-SUPPORT_CUTOFF = 1e-12
-
-_VALIDATE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -44,16 +39,16 @@ class TwoQubitRealization(Record):
         object.__setattr__(self, "thetaA", freeze(self.thetaA, (2,), name="thetaA"))
         object.__setattr__(self, "thetaB", freeze(self.thetaB, (2,), name="thetaB"))
         object.__setattr__(self, "chi", float(self.chi))
-        if not -1e-12 <= self.chi <= math.pi / 4 + 1e-12:
+        if not -CHI_RANGE_SLACK <= self.chi <= math.pi / 4 + CHI_RANGE_SLACK:
             raise ValueError(f"chi={self.chi} outside the convention [0, pi/4]")
 
 
 def _check_observable(m: np.ndarray, dim: int, name: str):
     if m.shape != (dim, dim):
         raise ValueError(f"{name} must be {dim}x{dim}, got {m.shape}")
-    if np.abs(m - m.conj().T).max() > _VALIDATE_TOL:
+    if np.abs(m - m.conj().T).max() > VALIDATE_TOL:
         raise ValueError(f"{name} is not Hermitian")
-    if np.abs(m @ m - np.eye(dim)).max() > _VALIDATE_TOL:
+    if np.abs(m @ m - np.eye(dim)).max() > VALIDATE_TOL:
         raise ValueError(f"{name} does not square to the identity")
 
 
@@ -73,7 +68,7 @@ class GeneralRealization(Record):
         psi = freeze(self.psi, dtype=complex).reshape(-1)
         if psi.shape != (self.dimA * self.dimB,):
             raise ValueError("psi length must be dimA*dimB")
-        if abs(np.linalg.norm(psi) - 1.0) > _VALIDATE_TOL:
+        if abs(np.linalg.norm(psi) - 1.0) > VALIDATE_TOL:
             raise ValueError("psi must be normalized")
         A = tuple(freeze(m, dtype=complex) for m in self.A)
         B = tuple(freeze(m, dtype=complex) for m in self.B)

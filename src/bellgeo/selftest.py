@@ -25,9 +25,14 @@ from .geometry import (
 )
 from .jsonio import freeze
 from .realization import GeneralRealization, simulate_cbehavior
-
-#: Residual threshold below which an operator identity counts as certified.
-RESIDUAL_PASS = 1e-7
+from .tolerances import (
+    ADDED_OBSERVABLE_TOL,
+    COINCIDENT_SIN,
+    DEGENERATE_SIN,
+    RESIDUAL_PASS,
+    ZERO_NORM_SQUARED,
+    root_tol,
+)
 
 
 @dataclass(frozen=True)
@@ -58,16 +63,16 @@ class ExtendedRealization:
         dim = self.base.dimB
         if b2.shape != (dim, dim):
             raise ValueError(f"B2 must be {dim}x{dim}")
-        if np.abs(b2 - b2.conj().T).max() > 1e-12:
+        if np.abs(b2 - b2.conj().T).max() > ADDED_OBSERVABLE_TOL:
             raise ValueError("B2 is not Hermitian")
-        if np.abs(b2 @ b2 - np.eye(dim)).max() > 1e-12:
+        if np.abs(b2 @ b2 - np.eye(dim)).max() > ADDED_OBSERVABLE_TOL:
             raise ValueError("B2 does not square to the identity")
         object.__setattr__(self, "B2", b2)
 
 
 def _pair(ops, theta, mode: str) -> np.ndarray:
     sdt = math.sin(theta[0] - theta[1])
-    if abs(sdt) < 1e-12:
+    if abs(sdt) < DEGENERATE_SIN:
         raise ValueError("degenerate angles: the two observables coincide")
     if mode == "Z":
         return (math.sin(theta[0]) * ops[1] - math.sin(theta[1]) * ops[0]) / sdt
@@ -159,7 +164,7 @@ def swap_isometry(
         target = target / np.linalg.norm(target)
     out = np.stack([branches[(a, b)].reshape(-1) for a in (0, 1) for b in (0, 1)], axis=1)
     out_norm2 = float(np.sum(np.abs(out) ** 2))
-    if out_norm2 < 1e-24:
+    if out_norm2 < ZERO_NORM_SQUARED:
         raise ValueError("swap isometry produced a zero output state")
     w = out @ target.conj()
     fidelity = float(np.sum(np.abs(w) ** 2) / out_norm2)
@@ -193,7 +198,7 @@ def protocol_zb(ext: ExtendedRealization, tol: float = RESIDUAL_PASS) -> dict:
     b = simulate_cbehavior(r)
     report: dict = {"protocol": "addedZ", "selfTested": False}
     try:
-        g = reconstruct(b, tol=math.sqrt(tol))
+        g = reconstruct(b, tol=root_tol(tol))
     except ReconstructionError as exc:
         report["error"] = f"base behavior fails reconstruction: {exc}"
         return report
@@ -218,7 +223,7 @@ def protocol_zb(ext: ExtendedRealization, tol: float = RESIDUAL_PASS) -> dict:
     iso = swap_isometry(r, ops, g.chi)
     report["fidelity"] = iso.fidelity
     report["selfTested"] = bool(
-        max(residuals.values()) <= tol and abs(iso.fidelity - 1.0) <= math.sqrt(tol)
+        max(residuals.values()) <= tol and abs(iso.fidelity - 1.0) <= root_tol(tol)
     )
     return report
 
@@ -243,7 +248,7 @@ def protocol_lemma6_pair(ext: ExtendedRealization, tol: float = RESIDUAL_PASS) -
     """
     r = ext.base
     report: dict = {"protocol": "pairedReconstruction", "selfTested": False}
-    ang_tol = math.sqrt(tol)
+    ang_tol = root_tol(tol)
     try:
         g = reconstruct(simulate_cbehavior(r), tol=ang_tol)
     except ReconstructionError as exc:
@@ -265,7 +270,7 @@ def protocol_lemma6_pair(ext: ExtendedRealization, tol: float = RESIDUAL_PASS) -
         report["error"] = "reconstructions do not share the measurement plane"
         return report
     theta2 = float(matched.thetaB[1])
-    if abs(math.sin(theta2 - g.thetaB[0])) < 1e-9:
+    if abs(math.sin(theta2 - g.thetaB[0])) < COINCIDENT_SIN:
         report["error"] = "added observable coincides with B_0 (degenerate pair)"
         return report
     ops = derive_operators(r, g)
@@ -288,7 +293,7 @@ def protocol_lemma6_pair(ext: ExtendedRealization, tol: float = RESIDUAL_PASS) -
     iso = swap_isometry(r, ops, g.chi)
     report["fidelity"] = iso.fidelity
     report["selfTested"] = bool(
-        max(residuals.values()) <= tol and abs(iso.fidelity - 1.0) <= math.sqrt(tol)
+        max(residuals.values()) <= tol and abs(iso.fidelity - 1.0) <= root_tol(tol)
     )
     return report
 

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bellgeo.cli import main
-from bellgeo.realization import TwoQubitRealization
+from bellgeo.geometry import GeometryParams, projection_angles, symmetry_equivalent
+from bellgeo.realization import TwoQubitRealization, promote, simulate_cbehavior
 
 P_JSON = TwoQubitRealization(
     thetaA=[0.0, math.pi / 2], thetaB=[1e-9, -math.pi / 4], chi=math.pi / 12
@@ -228,15 +229,72 @@ def test_tol_env_variable(monkeypatch, capsys):
 SIGMA3_PAIRS = [[1, 0], [0, 0], [0, 0], [-1, 0]]
 
 
-def test_selftest_resolves_barely_resolved_signs(capsys):
-    # thetaA_1 is within 1.2e-3 of pi: at the protocol's reconstruction
-    # tolerance a wrong sign assignment also fits, and only the best-fitting
-    # one certifies
-    base = {"thetaA": [5.772619754553491, 3.140425647940171],
-            "thetaB": [0.8323370302998073, 6.093489034671855], "chi": 0.44804837003084674}
+@pytest.mark.parametrize(
+    "base",
+    [
+        # thetaA_1 is within 1.2e-3 of pi: at the protocol's reconstruction
+        # tolerance a wrong sign assignment also fits, and only the
+        # best-fitting one certifies
+        {"thetaA": [5.772619754553491, 3.140425647940171],
+         "thetaB": [0.8323370302998073, 6.093489034671855], "chi": 0.44804837003084674},
+        # nearly branch-degenerate pairs: at the reconstruction tolerance the
+        # all-S+ pattern also passes, about 3e-5 off sin^2(2 chi), and only
+        # the tightest pattern saturates the boundary (gaps 7.9e-4, 1.3e-3
+        # otherwise) ...
+        {"thetaA": [4.435488943082649, 3.1734529214141087],
+         "thetaB": [5.810443820051876, 0.0378362661182437], "chi": 0.6071019578905176},
+        # ... or matches the added correlators (2-4e-5 off otherwise)
+        {"thetaA": [6.1558364900174345, 3.5160778236892583],
+         "thetaB": [5.546237752491198, 0.20455120872298369], "chi": 0.49586627981324366},
+    ],
+    ids=["angle-near-pi", "boundary-unsaturated", "added-correlators-off"],
+)
+def test_selftest_resolves_barely_resolved_signs(capsys, base):
     req = json.dumps({"base": base, "B2": SIGMA3_PAIRS, "protocol": "addedZ"})
     assert main(["selftest", "-i", req]) == 0
     assert json.loads(capsys.readouterr().out)["selfTested"] is True
+
+
+def _run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, json.loads(out.getvalue())
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0, 1.5, 1.9])
+def test_tilted_chsh_known_answer(alpha):
+    # the optimum of alpha <A_0> + CHSH (Acin, Massar & Pironio, PRL 108,
+    # 100402 (2012)): A = (sigma3, sigma1), B_y = cos(mu) sigma3 +- sin(mu)
+    # sigma1 with tan(mu) = sin(2 chi) on cos(chi)|00> + sin(chi)|11>
+    s2 = math.sqrt((4 - alpha**2) / (4 + alpha**2))
+    mu = math.atan(s2)
+    source = TwoQubitRealization(thetaA=[0.0, math.pi / 2], thetaB=[mu, -mu],
+                                 chi=0.5 * math.asin(s2))
+    b = simulate_cbehavior(promote(source))
+    tilted = alpha * b.cA[0] + b.c[0, 0] + b.c[0, 1] + b.c[1, 0] - b.c[1, 1]
+    assert abs(tilted - math.sqrt(8 + 2 * alpha**2)) < 1e-12
+
+    code, verdict = _run(["check", "-i", source.to_json()])
+    assert code == 0 and verdict["conjecture1Candidate"] and verdict["uniquenessTrivial"]
+    assert abs(verdict["sin2chiSquared"] - s2**2) < 1e-12
+    code, report = _run(["geometry", "-i", source.to_json()])
+    assert code == 0
+    g = GeometryParams.from_dict(report)
+    assert symmetry_equivalent(projection_angles(source), g, 1e-7)
+    code, report = _run(["qbell", "-i", source.to_json()])
+    assert code == 0 and report["trivialOnly"] is True
+
+    base = json.loads(source.to_json())
+    requests = [
+        ({"base": base, "B2": SIGMA3_PAIRS, "protocol": "addedZ"}, 0),
+        ({"base": base, "thetaB2": -math.pi / 2, "protocol": "paired"}, 0),
+        # {B_0, B_2} at thetaB2 = 0.3 is not a conforming pair
+        ({"base": base, "thetaB2": 0.3, "protocol": "paired"}, 2),
+    ]
+    for request, expected in requests:
+        code, report = _run(["selftest", "-i", json.dumps(request)])
+        assert code == expected and report["selfTested"] is (expected == 0), report
 
 
 NAN, INF = math.nan, math.inf
@@ -293,14 +351,50 @@ _values = st.one_of(
     st.lists(_pairs, min_size=2, max_size=2), st.integers(0, 4),
 )
 _objects = st.fixed_dictionaries({}, optional={k: _values for k in _FIELDS})
-_requests = st.fixed_dictionaries(
+_fuzzed_requests = st.fixed_dictionaries(
     {},
     optional={**{k: _values for k in _FIELDS}, "base": _objects | _values, "B2": _values,
               "thetaB2": _values, "protocol": st.sampled_from(["addedZ", "paired"]) | _values},
 )
 
+# well-formed realizations at the degenerate edges: chi -> 0 or pi/4,
+# sin(theta_0 - theta_1) -> 0, and angles -> 0 or pi, by as little as 1e-16
+_tiny = st.sampled_from([0.0, 1e-16, 1e-12, 1e-8]) | st.floats(1e-16, 1e-2)
+_offset = st.tuples(st.sampled_from([1.0, -1.0]), _tiny).map(lambda t: t[0] * t[1])
+_angle = st.floats(0.0, 2.0 * math.pi)
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+
+@st.composite
+def _edge_realizations(draw):
+    thetas = [[draw(_angle), draw(_angle)], [draw(_angle), draw(_angle)]]
+    chi = draw(st.floats(0.0, math.pi / 4) | _tiny | _tiny.map(lambda e: math.pi / 4 - e))
+    if draw(st.booleans()):
+        side = thetas[draw(st.integers(0, 1))]
+        side[1] = side[0] + draw(st.sampled_from([0.0, math.pi])) + draw(_offset)
+    for side in thetas:
+        if draw(st.booleans()):
+            side[draw(st.integers(0, 1))] = draw(st.sampled_from([0.0, math.pi])) + draw(_offset)
+    return TwoQubitRealization(thetaA=thetas[0], thetaB=thetas[1], chi=chi)
+
+
+@st.composite
+def _edge_requests(draw):
+    r = draw(_edge_realizations())
+    obj = r if draw(st.booleans()) else simulate_cbehavior(promote(r))
+    request = json.loads(obj.to_json())
+    request["base"] = json.loads(r.to_json())
+    if draw(st.booleans()):
+        request["B2"] = SIGMA3_PAIRS
+    else:
+        request["thetaB2"] = draw(_angle | st.sampled_from([0.0, math.pi]) | _offset)
+    request["protocol"] = draw(st.sampled_from(["addedZ", "paired"]))
+    return request
+
+
+_requests = _fuzzed_requests | _edge_requests()
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.sampled_from(["simulate", "check", "geometry", "qbell", "selftest"]), _requests)
 def test_fuzzed_json_input_ends_in_verdict_or_one_error(command, request):

@@ -85,6 +85,20 @@ def test_two_qubit_condition_reference_pattern():
     assert match[0].H >= 0.0
 
 
+def test_two_qubit_condition_tightest_pattern_first():
+    # two pairs are nearly branch-degenerate: at the protocols' tolerance the
+    # all-plus pattern also passes (spread ~1e-4) and used to come first,
+    # 2.8e-5 off sin^2(2 chi)
+    r = TwoQubitRealization(
+        thetaA=[4.435488943082649, 3.1734529214141087],
+        thetaB=[5.810443820051876, 0.0378362661182437],
+        chi=0.6071019578905176,
+    )
+    patterns = two_qubit_condition(simulate_cbehavior(r), math.sqrt(1e-7))
+    assert np.array_equal(patterns[0].p, np.array([[1, 1], [1, -1]]))
+    assert abs(patterns[0].commonValue - math.sin(2 * r.chi) ** 2) < 1e-12
+
+
 def test_two_qubit_condition_rejects_all_minus_at_tsirelson():
     patterns = two_qubit_condition(tsirelson())
     values = sorted(p.commonValue for p in patterns)

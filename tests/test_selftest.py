@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bellgeo.geometry import projection_angles, sign_condition_ok
+from bellgeo.geometry import projection_angles, sign_condition_ok, two_qubit_of
 from bellgeo.realization import (
     SIGMA1,
     SIGMA2,
@@ -146,6 +146,21 @@ def test_protocol_zb_accepts_aligned_added_observable():
     assert max(report["conditions"].values()) < 1e-9
 
 
+def test_protocol_zb_accepts_every_conforming_draw():
+    # 15 of these draws were rejected when the branch patterns were taken in
+    # a fixed order instead of tightest first
+    from test_acceptance import random_conforming
+
+    rng = np.random.default_rng(7)
+    rejected = []
+    for _ in range(2000):
+        g = random_conforming(rng)
+        report = protocol_zb(ExtendedRealization(base=promote(two_qubit_of(g)), B2=SIGMA3))
+        if not report["selfTested"]:
+            rejected.append((g.thetaA, g.thetaB, g.chi, report.get("error")))
+    assert rejected == []
+
+
 def test_protocol_zb_rejects_misaligned_added_observable():
     r = conforming_realization()
     ext = ExtendedRealization(base=promote(r), B2=SIGMA1)
@@ -166,6 +181,20 @@ def test_protocol_paired_accepts_in_plane_extension():
         diff = (recovered - theta2 + math.pi) % (2 * math.pi) - math.pi
         alt_diff = (recovered + theta2 + math.pi) % (2 * math.pi) - math.pi
         assert min(abs(diff), abs(alt_diff)) < 1e-6
+
+
+def test_protocol_paired_accepts_every_conforming_draw():
+    # 10 of these draws were rejected when the branch patterns were taken in
+    # a fixed order instead of tightest first
+    rng = np.random.default_rng(7)
+    rejected = []
+    for _ in range(1000):
+        r = conforming_realization(rng)
+        theta2 = conforming_extension_angle(r, rng)
+        report = protocol_lemma6_pair(ExtendedRealization(base=promote(r), B2=xz_observable(theta2)))
+        if not report["selfTested"]:
+            rejected.append((r.thetaA, r.thetaB, r.chi, theta2, report.get("error")))
+    assert rejected == []
 
 
 def test_protocol_paired_rejects_out_of_plane_extension():
