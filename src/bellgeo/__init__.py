@@ -16,9 +16,11 @@ from .criteria import (
     SignPattern,
     SQuantities,
     crypt_gaps,
+    crypt_gaps_batch,
     crypt_membership,
     d_quantities,
     extremal_criterion,
+    gaps_member,
     s_quantities,
     scaled_correlators,
     tlm_gap,

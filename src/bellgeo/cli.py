@@ -118,7 +118,7 @@ def cmd_check(args) -> int:
         return PASS if verdict.conjecture1Candidate else FAIL
     if isinstance(obj, behavior.DBehavior):
         gaps = criteria.crypt_gaps(obj, tol=args.tol)
-        member = criteria.crypt_membership(obj, tol=args.tol)
+        member = criteria.gaps_member(gaps, tol=args.tol)
         _write(args.output, jsonio.dumps({"member": member, "gaps": gaps}, indent=2))
         return PASS if member else FAIL
     raise CliError("check expects a behavior or a realization")
@@ -222,57 +222,65 @@ def _chsh(b: behavior.CBehavior) -> float:
     return float(b.c[0, 0] + b.c[0, 1] + b.c[1, 0] - b.c[1, 1])
 
 
-def _boundary_interval(d_ref: behavior.DBehavior, side: str, c11: float):
-    """Feasible range of the varied bias coordinate at fixed C_11.
+#: Points of the scan whose first feasible one brackets a failing lower end:
+#: 64 equal steps of [C_11^2, 1], each the range divided exactly by 2^6.
+SCAN_POINTS = 65
+#: Halvings per bisected end: 60 halvings of an interval of length <= 1 leave
+#: at most 2^-60, below one ulp of 1.
+HALVINGS = 60
 
-    The boundary solves a zero of the scaled-correlator gap by bisection;
-    the lower end of the range is the cap C_11^2.
+
+def _boundary_intervals(d_ref: behavior.DBehavior, grid: np.ndarray) -> dict:
+    """Feasible range of the varied bias coordinate on every C_11 curve.
+
+    A curve of section B (A) sets C_11 of ``d_ref`` to a grid value and
+    varies delta^B_1 (delta^A_1) over [C_11^2, 1]; a point is feasible where
+    the scaled-correlator gap of that side is >= 0.  A curve infeasible at
+    both ends has no range.  A failing lower end is bisected against the
+    first feasible point of a SCAN_POINTS scan, a failing upper end against
+    the lower end, HALVINGS times each.  All curves of both sections are
+    bisected in lockstep, one batched gap evaluation per step.  Returns, per
+    section, the rows (c11, lo, hi) in grid order.
     """
-    c = np.array(d_ref.c)
-    c[1, 1] = c11
+    n = len(grid)
+    c11 = np.concatenate([grid, grid])
+    on_b = np.arange(2 * n) < n
 
-    def gap(delta: float) -> float:
-        if side == "B":
-            d = behavior.DBehavior(
-                deltaB=(d_ref.deltaB[0], delta), deltaA=d_ref.deltaA, c=c
-            )
-        else:
-            d = behavior.DBehavior(
-                deltaB=d_ref.deltaB, deltaA=(d_ref.deltaA[0], delta), c=c
-            )
-        return criteria.crypt_gaps(d)["tlm" + side]
+    def gap(curve: np.ndarray, delta: np.ndarray) -> np.ndarray:
+        b = on_b[curve]
+        deltaB = np.broadcast_to(d_ref.deltaB, delta.shape + (2,)).copy()
+        deltaA = np.broadcast_to(d_ref.deltaA, delta.shape + (2,)).copy()
+        deltaB[..., 1] = np.where(b, delta, d_ref.deltaB[1])
+        deltaA[..., 1] = np.where(b, d_ref.deltaA[1], delta)
+        c = np.broadcast_to(d_ref.c, delta.shape + (2, 2)).copy()
+        c[..., 1, 1] = c11[curve]
+        gaps = criteria.crypt_gaps_batch(deltaB, deltaA, c)
+        return np.where(b, gaps["tlmB"], gaps["tlmA"])
 
-    lo = c11 * c11
-    if gap(lo) < 0.0 and gap(1.0) < 0.0:
-        return None
-    # the gap is positive on the feasible interval; bisect each endpoint
-    lo_ok, hi_ok = gap(lo) >= 0.0, gap(1.0) >= 0.0
-    lo_bound, hi_bound = lo, 1.0
-    if not lo_ok:
-        a, b = lo, 1.0
-        # find any feasible point to bracket against
-        mids = np.linspace(lo, 1.0, 65)
-        feas = [m for m in mids if gap(m) >= 0.0]
-        if not feas:
-            return None
-        b = feas[0]
-        for _ in range(60):
-            mid = 0.5 * (a + b)
-            if gap(mid) >= 0.0:
-                b = mid
-            else:
-                a = mid
-        lo_bound = b
-    if not hi_ok:
-        a, b = lo_bound, 1.0
-        for _ in range(60):
-            mid = 0.5 * (a + b)
-            if gap(mid) >= 0.0:
-                a = mid
-            else:
-                b = mid
-        hi_bound = a
-    return lo_bound, hi_bound
+    curves = np.arange(2 * n)
+    lo, hi = c11 * c11, np.ones(2 * n)
+    lo_ok, hi_ok = np.split(gap(np.tile(curves, 2), np.concatenate([lo, hi])) >= 0.0, 2)
+    has_range = lo_ok | hi_ok
+    # a failing lower end and the first feasible scan point bracket the
+    # bound; the scan ends at the upper end, which is feasible
+    low = np.flatnonzero(~lo_ok & hi_ok)
+    scan = np.linspace(lo[low], 1.0, SCAN_POINTS)
+    feasible = gap(np.broadcast_to(low, scan.shape), scan) >= 0.0
+    first = scan[feasible.argmax(axis=0), np.arange(len(low))]
+    high = np.flatnonzero(lo_ok & ~hi_ok)
+    curve = np.concatenate([low, high])
+    good = np.concatenate([first, lo[high]])
+    bad = np.concatenate([lo[low], hi[high]])
+    for _ in range(HALVINGS):
+        mid = 0.5 * (good + bad)
+        ok = gap(curve, mid) >= 0.0
+        good, bad = np.where(ok, mid, good), np.where(ok, bad, mid)
+    lo[low], hi[high] = good[: len(low)], good[len(low):]
+    rows = {}
+    for side, part in (("B", slice(0, n)), ("A", slice(n, 2 * n))):
+        keep = has_range[part]
+        rows[side] = list(zip(grid[keep], lo[part][keep], hi[part][keep]))
+    return rows
 
 
 def _check_samples(args):
@@ -296,7 +304,7 @@ def cmd_counterexample(args) -> int:
     l_d = behavior.mix([p_d, q_d], w)
     local = behavior.is_local(l_c, tol=args.tol)
     gaps = criteria.crypt_gaps(l_d, tol=args.tol)
-    member = criteria.crypt_membership(l_d, tol=args.tol)
+    member = criteria.gaps_member(gaps, tol=args.tol)
     report = {
         "epsilon": eps,
         "lambda": lam,
@@ -319,14 +327,10 @@ def cmd_counterexample(args) -> int:
             "A": [("P", p_d.c[1, 1], p_d.deltaA[1]), ("Q", q_d.c[1, 1], q_d.deltaA[1]),
                   ("L", l_d.c[1, 1], l_d.deltaA[1])],
         }
+        rows = _boundary_intervals(p_d, np.linspace(-1.0, 0.2, args.samples))
         for side in ("B", "A"):
-            for c11 in np.linspace(-1.0, 0.2, args.samples):
-                interval = _boundary_interval(p_d, side, float(c11))
-                if interval is None:
-                    continue
-                buf.write(
-                    f"{side},boundary,{c11:.10g},{interval[0]:.10g},{interval[1]:.10g}\n"
-                )
+            for c11, lo, hi in rows[side]:
+                buf.write(f"{side},boundary,{c11:.10g},{lo:.10g},{hi:.10g}\n")
             for label, c11, delta in markers[side]:
                 buf.write(f"{side},{label},{c11:.10g},{delta:.10g},{delta:.10g}\n")
         _write(args.output, buf.getvalue())
@@ -349,7 +353,7 @@ def cmd_sweep(args) -> int:
             cb = realization.simulate_cbehavior(r)
             d = realization.simulate_dbehavior(r)
             gaps = criteria.crypt_gaps(d)
-            member = criteria.crypt_membership(d)
+            member = criteria.gaps_member(gaps)
             chsh = float(np.abs(behavior.chsh_values(cb)).max())
             buf.write(
                 f"{i},{r.thetaA[0]:.10g},{r.thetaA[1]:.10g},{r.thetaB[0]:.10g},"

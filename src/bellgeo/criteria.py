@@ -10,7 +10,6 @@ correlator-space quantum set.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,6 +131,14 @@ def d_quantities(b: CBehavior, sin2chiSq: float) -> tuple[np.ndarray, np.ndarray
     return b.cA**2 + sin2chiSq, b.cB**2 + sin2chiSq
 
 
+def _tlm(ct: np.ndarray) -> np.ndarray:
+    """RHS - LHS of the boundary inequality over stacked (..., 2, 2) correlators."""
+    lhs = np.abs(ct[..., 0, 0] * ct[..., 0, 1] - ct[..., 1, 0] * ct[..., 1, 1])
+    comp = np.clip(1.0 - ct**2, 0.0, None)
+    rhs = np.sqrt(comp[..., 0, 0] * comp[..., 0, 1]) + np.sqrt(comp[..., 1, 0] * comp[..., 1, 1])
+    return rhs - lhs
+
+
 def tlm_gap(ctilde: np.ndarray, tol: float = DEFAULT_TOL) -> float:
     """Boundary gap RHS - LHS of the quadratic correlator inequality.
 
@@ -146,10 +153,25 @@ def tlm_gap(ctilde: np.ndarray, tol: float = DEFAULT_TOL) -> float:
         raise InvalidBehaviorError(
             f"correlator magnitude {np.abs(ct).max()} exceeds 1; gap undefined"
         )
-    lhs = abs(ct[0, 0] * ct[0, 1] - ct[1, 0] * ct[1, 1])
-    comp = np.clip(1.0 - ct**2, 0.0, None)
-    rhs = math.sqrt(comp[0, 0] * comp[0, 1]) + math.sqrt(comp[1, 0] * comp[1, 1])
-    return float(rhs - lhs)
+    return float(_tlm(ct))
+
+
+def _scaled(delta: np.ndarray, c: np.ndarray, side: str) -> tuple[np.ndarray, np.ndarray]:
+    """Square-root biases broadcast over (..., 2, 2), and the correlators scaled by them.
+
+    Side B divides row x by sqrt(delta^B_x), side A column y by
+    sqrt(delta^A_y).  Where the bias vanishes a zero correlator scales to 0
+    and a nonzero one to 2, an always-violating sentinel.
+    """
+    root = np.sqrt(np.clip(delta, 0.0, None))
+    if side == "B":
+        denom = np.broadcast_to(root[..., :, None], c.shape)
+    elif side == "A":
+        denom = np.broadcast_to(root[..., None, :], c.shape)
+    else:
+        raise ValueError("side must be 'A' or 'B'")
+    ct = np.divide(c, denom, out=np.where(c == 0.0, 0.0, 2.0), where=denom > 0.0)
+    return denom, ct
 
 
 def scaled_correlators(d: DBehavior, side: str) -> np.ndarray:
@@ -159,20 +181,7 @@ def scaled_correlators(d: DBehavior, side: str) -> np.ndarray:
     to be quantum; a zero-over-zero slot is defined as 0 and a nonzero
     correlator over a zero bias maps to 2 (an always-violating sentinel).
     """
-    if side == "B":
-        denom = np.sqrt(np.clip(d.deltaB, 0.0, None))[:, None] * np.ones((1, 2))
-    elif side == "A":
-        denom = np.sqrt(np.clip(d.deltaA, 0.0, None))[None, :] * np.ones((2, 1))
-    else:
-        raise ValueError("side must be 'A' or 'B'")
-    ct = np.empty((2, 2))
-    for i in range(2):
-        for j in range(2):
-            if denom[i, j] > 0.0:
-                ct[i, j] = d.c[i, j] / denom[i, j]
-            else:
-                ct[i, j] = 0.0 if d.c[i, j] == 0.0 else 2.0
-    return ct
+    return _scaled(d.deltaB if side == "B" else d.deltaA, d.c, side)[1]
 
 
 def saturation_gaps(b: CBehavior, sin2chiSq: float) -> tuple[float, float]:
@@ -180,46 +189,62 @@ def saturation_gaps(b: CBehavior, sin2chiSq: float) -> tuple[float, float]:
 
     The correlators are scaled by the guessing biases of the two-qubit
     point with this branch value (``d_quantities``, clipped to [0, 1]) and
-    clipped to [-1, 1] before ``tlm_gap``.  Both gaps vanish on a behavior
+    clipped to [-1, 1] before the gap.  Both gaps vanish on a behavior
     whose geometry the branch value determines.
     """
     dB, dA = d_quantities(b, sin2chiSq)
-    d = DBehavior(deltaB=np.clip(dB, 0.0, 1.0), deltaA=np.clip(dA, 0.0, 1.0), c=b.c)
-    return (
-        tlm_gap(np.clip(scaled_correlators(d, "B"), -1.0, 1.0)),
-        tlm_gap(np.clip(scaled_correlators(d, "A"), -1.0, 1.0)),
+    gB, gA = (
+        float(_tlm(np.clip(_scaled(np.clip(delta, 0.0, 1.0), b.c, side)[1], -1.0, 1.0)))
+        for side, delta in (("B", dB), ("A", dA))
     )
+    return gB, gA
+
+
+def crypt_gaps_batch(
+    deltaB: np.ndarray, deltaA: np.ndarray, c: np.ndarray, tol: float = DEFAULT_TOL
+) -> dict[str, np.ndarray]:
+    """Slacks of the necessary quantum conditions at stacked guessing-bias points.
+
+    ``deltaB`` and ``deltaA`` have shape (..., 2) and ``c`` shape
+    (..., 2, 2); every returned array has the leading shape.  ``capB`` and
+    ``capA`` are min_x,y (sqrt(delta) - |C_xy|) for the two scalings.
+    ``tlmB`` and ``tlmA`` are the boundary gaps of the scaled correlators,
+    clipped to [-1, 1]; a scaled correlator beyond 1 + ``root_tol(tol)``
+    reports the cap deficit min(cap, 0) instead.  Any negative entry
+    certifies that the point lies outside the quantum region.  The inputs
+    are not validated; ``DBehavior`` does that for a single point.
+    """
+    c = np.asarray(c, dtype=float)
+    gaps = {}
+    for side, delta in (("B", deltaB), ("A", deltaA)):
+        denom, ct = _scaled(np.asarray(delta, dtype=float), c, side)
+        cap = (denom - np.abs(c)).min(axis=(-2, -1))
+        gaps["cap" + side] = cap
+        gaps["tlm" + side] = np.where(
+            np.abs(ct).max(axis=(-2, -1)) > 1.0 + root_tol(tol),
+            np.where(cap > 0.0, 0.0, cap),
+            _tlm(np.clip(ct, -1.0, 1.0)),
+        )
+    return gaps
 
 
 def crypt_gaps(d: DBehavior, tol: float = DEFAULT_TOL) -> dict:
     """Slacks of the necessary quantum conditions in guessing-bias space.
 
-    ``capB``/``capA`` are min_x,y (sqrt(delta) - |C_xy|) for the two
-    scalings; ``tlmB``/``tlmA`` are the boundary gaps of the scaled
-    correlators.  Any negative entry certifies the point lies outside the
-    quantum region.
+    The one point ``d`` of ``crypt_gaps_batch``, as floats keyed ``capB``,
+    ``tlmB``, ``capA``, ``tlmA``.
     """
-    gaps = {}
-    for side, delta in (("B", d.deltaB), ("A", d.deltaA)):
-        root = np.sqrt(np.clip(delta, 0.0, None))
-        if side == "B":
-            cap = float((root[:, None] - np.abs(d.c)).min())
-        else:
-            cap = float((root[None, :] - np.abs(d.c)).min())
-        gaps["cap" + side] = cap
-        ct = scaled_correlators(d, side)
-        if np.abs(ct).max() > 1.0 + root_tol(tol):
-            # scaled correlator out of range; report the cap deficit as the gap
-            gaps["tlm" + side] = min(cap, 0.0)
-        else:
-            gaps["tlm" + side] = tlm_gap(np.clip(ct, -1.0, 1.0), tol)
-    return gaps
+    return {k: float(v) for k, v in crypt_gaps_batch(d.deltaB, d.deltaA, d.c, tol).items()}
+
+
+def gaps_member(gaps: dict, tol: float = DEFAULT_TOL) -> bool:
+    """Membership verdict from the gaps of ``crypt_gaps``: none below -tol."""
+    return bool(min(gaps.values()) >= -tol)
 
 
 def crypt_membership(d: DBehavior, tol: float = DEFAULT_TOL) -> bool:
     """Necessary conditions for quantum realizability in guessing-bias space."""
-    gaps = crypt_gaps(d, tol)
-    return bool(min(gaps.values()) >= -tol)
+    return gaps_member(crypt_gaps(d, tol), tol)
 
 
 def extremal_criterion(b: CBehavior, tol: float = DEFAULT_TOL) -> ExtremalVerdict:

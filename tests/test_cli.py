@@ -8,9 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from bellgeo.cli import main
+from bellgeo import criteria
+from bellgeo.behavior import DBehavior
+from bellgeo.cli import _boundary_intervals, _pq_realizations, main
+from bellgeo.criteria import crypt_gaps
 from bellgeo.geometry import GeometryParams, projection_angles, symmetry_equivalent
-from bellgeo.realization import TwoQubitRealization, promote, simulate_cbehavior
+from bellgeo.realization import TwoQubitRealization, promote, simulate_cbehavior, simulate_dbehavior
 
 P_JSON = TwoQubitRealization(
     thetaA=[0.0, math.pi / 2], thetaB=[1e-9, -math.pi / 4], chi=math.pi / 12
@@ -188,6 +191,121 @@ def test_counterexample_csv_sections(tmp_path):
     assert lines[0] == "section,label,c11,deltaMin,deltaMax"
     labels = {line.split(",")[1] for line in lines[1:]}
     assert {"boundary", "P", "Q", "L"} <= labels
+
+
+def _scalar_boundary_interval(d_ref: DBehavior, side: str, c11: float):
+    """The scalar bisection the CLI used before it bisected all curves in
+    lockstep, one ``crypt_gaps`` call per point: the reference its rows must
+    equal exactly."""
+    c = np.array(d_ref.c)
+    c[1, 1] = c11
+
+    def gap(delta: float) -> float:
+        if side == "B":
+            d = DBehavior(deltaB=(d_ref.deltaB[0], delta), deltaA=d_ref.deltaA, c=c)
+        else:
+            d = DBehavior(deltaB=d_ref.deltaB, deltaA=(d_ref.deltaA[0], delta), c=c)
+        return crypt_gaps(d)["tlm" + side]
+
+    lo = c11 * c11
+    if gap(lo) < 0.0 and gap(1.0) < 0.0:
+        return None
+    lo_ok, hi_ok = gap(lo) >= 0.0, gap(1.0) >= 0.0
+    lo_bound, hi_bound = lo, 1.0
+    if not lo_ok:
+        a, b = lo, 1.0
+        mids = np.linspace(lo, 1.0, 65)
+        feas = [m for m in mids if gap(m) >= 0.0]
+        if not feas:
+            return None
+        b = feas[0]
+        for _ in range(60):
+            mid = 0.5 * (a + b)
+            if gap(mid) >= 0.0:
+                b = mid
+            else:
+                a = mid
+        lo_bound = b
+    if not hi_ok:
+        a, b = lo_bound, 1.0
+        for _ in range(60):
+            mid = 0.5 * (a + b)
+            if gap(mid) >= 0.0:
+                a = mid
+            else:
+                b = mid
+        hi_bound = a
+    return lo_bound, hi_bound
+
+
+def _scalar_boundary_rows(d_ref: DBehavior, grid: np.ndarray) -> dict:
+    rows = {"B": [], "A": []}
+    for side, found in rows.items():
+        for c11 in grid:
+            interval = _scalar_boundary_interval(d_ref, side, float(c11))
+            if interval is not None:
+                found.append((c11, *interval))
+    return rows
+
+
+@pytest.mark.parametrize("eps", [1e-4, 0.01, 0.05, math.pi / 40 - 1e-4])
+def test_counterexample_boundary_rows(capsys, eps):
+    samples = 61
+    assert main(
+        ["counterexample", "--epsilon", repr(eps), "--format", "csv", "--samples", str(samples)]
+    ) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "section,label,c11,deltaMin,deltaMax"
+    grid = np.linspace(-1.0, 0.2, samples)
+    p_d = simulate_dbehavior(_pq_realizations(eps)[0])
+    rows = _boundary_intervals(p_d, grid)
+    assert rows == _scalar_boundary_rows(p_d, grid)
+    body = iter(lines[1:])
+    for side in ("B", "A"):
+        # this section's boundary rows in grid order, then its own markers
+        for c11, lo, hi in rows[side]:
+            assert next(body) == f"{side},boundary,{c11:.10g},{lo:.10g},{hi:.10g}"
+            c = np.array(p_d.c)
+            c[1, 1] = c11
+
+            def gap(delta):
+                deltas = {"B": p_d.deltaB.copy(), "A": p_d.deltaA.copy()}
+                deltas[side][1] = delta
+                return crypt_gaps(DBehavior(deltaB=deltas["B"], deltaA=deltas["A"], c=c))["tlm" + side]
+
+            # feasible just inside each end, infeasible just outside it
+            # unless the end is the cap C_11^2 or 1
+            assert gap(lo + 1e-10) >= -1e-9 and gap(hi - 1e-10) >= -1e-9
+            if lo != c11 * c11:
+                assert gap(max(lo - 1e-6, c11 * c11)) < 0.0
+            if hi != 1.0:
+                assert gap(min(hi + 1e-6, 1.0)) < 0.0
+        assert [next(body).split(",")[1] for _ in range(3)] == ["P", "Q", "L"]
+    assert next(body, None) is None
+
+
+def test_boundary_intervals_every_branch(monkeypatch):
+    # a stand-in gap, feasible on [0.25, 1.2 + C_11] in section B and on
+    # [0.1, 2] in section A, puts curves in every case of the rule: both ends
+    # feasible, only the upper one, only the lower one, and neither
+    def gaps(deltaB, deltaA, c, tol=1e-9):
+        c11 = c[..., 1, 1]
+        zero = np.zeros_like(c11)
+        return {
+            "capB": zero,
+            "tlmB": np.minimum(deltaB[..., 1] - 0.25, 1.2 + c11 - deltaB[..., 1]),
+            "capA": zero,
+            "tlmA": np.minimum(deltaA[..., 1] - 0.1, 2.0 - deltaA[..., 1]),
+        }
+
+    monkeypatch.setattr(criteria, "crypt_gaps_batch", gaps)
+    grid = np.linspace(-1.0, 0.2, 61)
+    p_d = simulate_dbehavior(_pq_realizations(0.01)[0])
+    rows = _boundary_intervals(p_d, grid)
+    assert rows == _scalar_boundary_rows(p_d, grid)
+    cases = {(lo == c11 * c11, hi == 1.0) for c11, lo, hi in rows["B"] + rows["A"]}
+    assert cases == {(True, True), (True, False), (False, True)}
+    assert len(rows["B"]) < len(grid)
 
 
 def test_sweep_deterministic(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from bellgeo.behavior import CBehavior, DBehavior, InvalidBehaviorError
 from bellgeo.criteria import (
     crypt_gaps,
+    crypt_gaps_batch,
     crypt_membership,
     d_quantities,
     extremal_criterion,
@@ -171,6 +172,77 @@ def test_crypt_gaps_saturated_at_reference_point():
     assert abs(gaps["tlmB"]) < 1e-7
     assert abs(gaps["tlmA"]) < 1e-7
     assert gaps["capB"] >= -1e-12 and gaps["capA"] >= -1e-12
+
+
+def _loop_crypt_gaps(d: DBehavior, tol: float) -> dict:
+    """``crypt_gaps`` as one scalar 2x2 loop per side: the reference the
+    batched kernel must equal exactly."""
+    gaps = {}
+    for side, delta in (("B", d.deltaB), ("A", d.deltaA)):
+        root = np.sqrt(np.clip(delta, 0.0, None))
+        denom = root[:, None] * np.ones((1, 2)) if side == "B" else root[None, :] * np.ones((2, 1))
+        cap = float((denom - np.abs(d.c)).min())
+        ct = np.empty((2, 2))
+        for i in range(2):
+            for j in range(2):
+                if denom[i, j] > 0.0:
+                    ct[i, j] = d.c[i, j] / denom[i, j]
+                else:
+                    ct[i, j] = 0.0 if d.c[i, j] == 0.0 else 2.0
+        gaps["cap" + side] = cap
+        if np.abs(ct).max() > 1.0 + math.sqrt(tol):
+            gaps["tlm" + side] = min(cap, 0.0)
+        else:
+            ct = np.clip(ct, -1.0, 1.0)
+            comp = np.clip(1.0 - ct**2, 0.0, None)
+            lhs = abs(ct[0, 0] * ct[0, 1] - ct[1, 0] * ct[1, 1])
+            rhs = math.sqrt(comp[0, 0] * comp[0, 1]) + math.sqrt(comp[1, 0] * comp[1, 1])
+            gaps["tlm" + side] = float(rhs - lhs)
+    return gaps
+
+
+def _stacked_d_points(rng, tol):
+    """D-points covering every branch of the gap: realizable points, random
+    scaled correlators, zero biases with zero and nonzero correlators, and
+    a scaled correlator just beyond 1 inside and outside 1 + sqrt(tol)."""
+    points = [simulate_dbehavior(random_two_qubit(rng)) for _ in range(20)]
+    for k in range(40):
+        dB, dA = rng.uniform(0.0, 1.0, 2), rng.uniform(0.0, 1.0, 2)
+        c = rng.uniform(-1.0, 1.0, (2, 2)) * np.sqrt(dB)[:, None]
+        if k % 4 == 0:
+            dB[0], c[0] = 0.0, 0.0
+        elif k % 4 == 1:
+            dB[0], c[0, 0] = 0.0, 0.3
+        elif k % 4 == 2:
+            dB[1], c[1, 0] = 0.5, math.sqrt(0.5) * (1.0 + 10.0 * tol)
+        else:
+            dB[1], c[1, 0] = 0.5, math.sqrt(0.5) * (1.0 + 10.0 * math.sqrt(tol))
+        points.append(DBehavior(deltaB=dB, deltaA=dA, c=c))
+    return points
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6])
+def test_crypt_gaps_batch_matches_scalar_exactly(tol):
+    rng = np.random.default_rng(11)
+    points = _stacked_d_points(rng, tol)
+    deltaB = np.array([d.deltaB for d in points])
+    deltaA = np.array([d.deltaA for d in points])
+    c = np.array([d.c for d in points])
+    scalar = [crypt_gaps(d, tol) for d in points]
+    assert scalar == [_loop_crypt_gaps(d, tol) for d in points]
+    # the stack holds the zero-bias sentinel, the clipped branch and the cap deficit
+    peak = np.array([np.abs(scaled_correlators(d, "B")).max() for d in points])
+    assert np.any(peak == 2.0)
+    assert np.any((peak > 1.0 + tol) & (peak <= 1.0 + math.sqrt(tol)))
+    assert np.any((peak > 1.0 + math.sqrt(tol)) & (peak < 2.0))
+    for shape in [(60,), (6, 10)]:
+        batch = crypt_gaps_batch(
+            deltaB.reshape(shape + (2,)), deltaA.reshape(shape + (2,)), c.reshape(shape + (2, 2)), tol
+        )
+        assert list(batch) == ["capB", "tlmB", "capA", "tlmA"]
+        for key, values in batch.items():
+            assert values.shape == shape
+            assert values.ravel().tolist() == [g[key] for g in scalar]
 
 
 def test_crypt_membership_extremes():
