@@ -6,6 +6,7 @@ from .behavior import (
     InvalidBehaviorError,
     ProbabilityTable,
     chsh_values,
+    chsh_values_batch,
     is_local,
     is_valid,
     mix,
@@ -57,8 +58,11 @@ from .realization import (
     promote,
     random_general,
     random_two_qubit,
+    random_two_qubit_params,
     simulate_cbehavior,
     simulate_dbehavior,
+    two_qubit_behaviors,
+    two_qubit_biases,
     xz_observable,
 )
 from .selftest import (

@@ -18,12 +18,16 @@ import numpy as np
 from .jsonio import Record, freeze
 from .tolerances import DEFAULT_TOL, VALIDATE_TOL
 
+#: The 16 sign patterns of {+1, -1}^4 as integer rows, all-plus first, in
+#: ``itertools.product`` order.  The one table behind the branch patterns of
+#: ``criteria``, the angle signs of ``geometry``, the equation signs of
+#: ``qbell`` and the CHSH facets below.
+SIGN_PATTERNS = np.array(list(itertools.product((1, -1), repeat=4)))
+
 #: Sign patterns (s00, s01, s10, s11) with an odd number of minus signs.
 #: These are the eight CHSH facets of the local polytope in the 2x2x2
 #: scenario; together with positivity they characterize locality exactly.
-CHSH_SIGNS = tuple(
-    s for s in itertools.product((1.0, -1.0), repeat=4) if s[0] * s[1] * s[2] * s[3] < 0
-)
+CHSH_SIGNS = SIGN_PATTERNS[SIGN_PATTERNS.prod(axis=1) < 0].astype(float)
 
 
 class InvalidBehaviorError(ValueError):
@@ -127,10 +131,15 @@ def is_valid(b: CBehavior, tol: float = DEFAULT_TOL) -> bool:
     return bool(to_probabilities(b).p.min() >= -tol)
 
 
+def chsh_values_batch(c: np.ndarray) -> np.ndarray:
+    """CHSH facet values of stacked (..., 2, 2) correlators, shape (..., 8)."""
+    c = np.asarray(c, dtype=float)
+    return c.reshape(c.shape[:-2] + (4,)) @ CHSH_SIGNS.T
+
+
 def chsh_values(b: CBehavior) -> np.ndarray:
     """The eight CHSH facet values s.C over the odd-minus sign patterns."""
-    flat = b.c.ravel()
-    return np.array([float(np.dot(s, flat)) for s in CHSH_SIGNS])
+    return chsh_values_batch(b.c)
 
 
 def is_local(b: CBehavior, tol: float = DEFAULT_TOL) -> bool:

@@ -21,6 +21,7 @@ import sys
 import numpy as np
 
 from . import behavior, criteria, geometry, jsonio, qbell, realization, selftest
+from .tolerances import BOUNDARY_TOL
 
 PASS, ERROR, FAIL = 0, 1, 2
 
@@ -254,7 +255,7 @@ def _boundary_intervals(d_ref: behavior.DBehavior, grid: np.ndarray) -> dict:
         deltaA[..., 1] = np.where(b, d_ref.deltaA[1], delta)
         c = np.broadcast_to(d_ref.c, delta.shape + (2, 2)).copy()
         c[..., 1, 1] = c11[curve]
-        gaps = criteria.crypt_gaps_batch(deltaB, deltaA, c)
+        gaps = criteria.crypt_gaps_batch(deltaB, deltaA, c, tol=BOUNDARY_TOL)
         return np.where(b, gaps["tlmB"], gaps["tlmA"])
 
     curves = np.arange(2 * n)
@@ -339,43 +340,46 @@ def cmd_counterexample(args) -> int:
     return PASS if ok else FAIL
 
 
+def _sweep_columns(thetaA, thetaB, chi, tol: float):
+    """chshMax, cryptMember and the gaps of stacked two-qubit realizations:
+    the closed forms, one gap kernel call and one CHSH product for all rows."""
+    k = realization.two_qubit_behaviors(thetaA, thetaB, chi)
+    gaps = criteria.crypt_gaps_batch(k.deltaB, k.deltaA, k.c, tol=tol, comp=(k.compB, k.compA))
+    chsh = np.abs(behavior.chsh_values_batch(k.c)).max(axis=-1)
+    return chsh, criteria.gaps_member(gaps, tol=tol), gaps
+
+
+def _csv(header: str, row: str, columns: list) -> str:
+    """The header, then ``row % (index, *values)`` per sample."""
+    values = zip(range(len(columns[0])), *(col.tolist() for col in columns))
+    return header + "".join([row % v for v in values])
+
+
 def cmd_sweep(args) -> int:
     _check_samples(args)
-    rng = np.random.default_rng(args.seed)
-    buf = io.StringIO()
+    n = args.samples
     if args.mode == "random":
-        buf.write(
-            "index,thetaA0,thetaA1,thetaB0,thetaB1,chi,chshMax,cryptMember,"
-            "tlmGapB,tlmGapA\n"
+        rng = np.random.default_rng(args.seed)
+        thetaA, thetaB, chi = realization.random_two_qubit_params(rng, n)
+        chsh, member, gaps = _sweep_columns(thetaA, thetaB, chi, args.tol)
+        text = _csv(
+            "index,thetaA0,thetaA1,thetaB0,thetaB1,chi,chshMax,cryptMember,tlmGapB,tlmGapA\n",
+            "%d,%.10g,%.10g,%.10g,%.10g,%.10g,%.10g,%d,%.10g,%.10g\n",
+            [*thetaA.T, *thetaB.T, chi, chsh, member, gaps["tlmB"], gaps["tlmA"]],
         )
-        for i in range(args.samples):
-            r = realization.random_two_qubit(rng)
-            cb = realization.simulate_cbehavior(r)
-            d = realization.simulate_dbehavior(r)
-            gaps = criteria.crypt_gaps(d)
-            member = criteria.gaps_member(gaps)
-            chsh = float(np.abs(behavior.chsh_values(cb)).max())
-            buf.write(
-                f"{i},{r.thetaA[0]:.10g},{r.thetaA[1]:.10g},{r.thetaB[0]:.10g},"
-                f"{r.thetaB[1]:.10g},{r.chi:.10g},{chsh:.10g},{int(member)},"
-                f"{gaps['tlmB']:.10g},{gaps['tlmA']:.10g}\n"
-            )
     elif args.mode == "chi-grid":
-        buf.write("index,chi,sin2chiSquared,chshMax,cryptMember\n")
-        thetaA = (0.0, math.pi / 2)
-        thetaB = (math.pi / 4, -math.pi / 4)
-        for i, chi in enumerate(np.linspace(0.0, math.pi / 4, args.samples)):
-            r = realization.TwoQubitRealization(thetaA=thetaA, thetaB=thetaB, chi=float(chi))
-            cb = realization.simulate_cbehavior(r)
-            d = realization.simulate_dbehavior(r)
-            chsh = float(np.abs(behavior.chsh_values(cb)).max())
-            buf.write(
-                f"{i},{chi:.10g},{math.sin(2 * chi) ** 2:.10g},{chsh:.10g},"
-                f"{int(criteria.crypt_membership(d))}\n"
-            )
+        chi = np.linspace(0.0, math.pi / 4, n)
+        thetaA = np.broadcast_to((0.0, math.pi / 2), (n, 2))
+        thetaB = np.broadcast_to((math.pi / 4, -math.pi / 4), (n, 2))
+        chsh, member, _ = _sweep_columns(thetaA, thetaB, chi, args.tol)
+        text = _csv(
+            "index,chi,sin2chiSquared,chshMax,cryptMember\n",
+            "%d,%.10g,%.10g,%.10g,%d\n",
+            [chi, np.sin(2.0 * chi) ** 2, chsh, member],
+        )
     else:
         raise CliError(f"unknown sweep mode {args.mode!r}")
-    _write(args.output, buf.getvalue())
+    _write(args.output, text)
     return PASS
 
 

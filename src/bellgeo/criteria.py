@@ -9,12 +9,18 @@ correlator-space quantum set.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .behavior import CBehavior, DBehavior, InvalidBehaviorError, is_local, is_valid
+from .behavior import (
+    SIGN_PATTERNS,
+    CBehavior,
+    DBehavior,
+    InvalidBehaviorError,
+    is_local,
+    is_valid,
+)
 from .jsonio import Record
 from .tolerances import DEFAULT_TOL, root_tol
 
@@ -80,7 +86,7 @@ def s_quantities(b: CBehavior, tol: float = DEFAULT_TOL) -> SQuantities:
 
 
 # the 16 branch patterns p[x][y], all-plus first
-_PATTERNS = np.array(list(itertools.product((1, -1), repeat=4))).reshape(16, 2, 2)
+_PATTERNS = SIGN_PATTERNS.reshape(16, 2, 2)
 
 
 def _branch_table(b: CBehavior, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -131,10 +137,15 @@ def d_quantities(b: CBehavior, sin2chiSq: float) -> tuple[np.ndarray, np.ndarray
     return b.cA**2 + sin2chiSq, b.cB**2 + sin2chiSq
 
 
-def _tlm(ct: np.ndarray) -> np.ndarray:
-    """RHS - LHS of the boundary inequality over stacked (..., 2, 2) correlators."""
+def _tlm(ct: np.ndarray, comp: np.ndarray | None = None) -> np.ndarray:
+    """RHS - LHS of the boundary inequality over stacked (..., 2, 2) correlators.
+
+    ``comp`` is 1 - ct^2 where the caller knows it more accurately than ct
+    itself gives it.
+    """
     lhs = np.abs(ct[..., 0, 0] * ct[..., 0, 1] - ct[..., 1, 0] * ct[..., 1, 1])
-    comp = np.clip(1.0 - ct**2, 0.0, None)
+    if comp is None:
+        comp = np.clip(1.0 - ct**2, 0.0, None)
     rhs = np.sqrt(comp[..., 0, 0] * comp[..., 0, 1]) + np.sqrt(comp[..., 1, 0] * comp[..., 1, 1])
     return rhs - lhs
 
@@ -201,7 +212,11 @@ def saturation_gaps(b: CBehavior, sin2chiSq: float) -> tuple[float, float]:
 
 
 def crypt_gaps_batch(
-    deltaB: np.ndarray, deltaA: np.ndarray, c: np.ndarray, tol: float = DEFAULT_TOL
+    deltaB: np.ndarray,
+    deltaA: np.ndarray,
+    c: np.ndarray,
+    tol: float = DEFAULT_TOL,
+    comp: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> dict[str, np.ndarray]:
     """Slacks of the necessary quantum conditions at stacked guessing-bias points.
 
@@ -211,19 +226,23 @@ def crypt_gaps_batch(
     ``tlmB`` and ``tlmA`` are the boundary gaps of the scaled correlators,
     clipped to [-1, 1]; a scaled correlator beyond 1 + ``root_tol(tol)``
     reports the cap deficit min(cap, 0) instead.  Any negative entry
-    certifies that the point lies outside the quantum region.  The inputs
-    are not validated; ``DBehavior`` does that for a single point.
+    certifies that the point lies outside the quantum region.  ``comp``
+    optionally gives 1 - c~^2 of each side's scaled correlators, (B, A) of
+    shape (..., 2, 2), from a closed form: near |c~| = 1 the complement of a
+    rounded c~ keeps only half its digits, which moves a gap that is exactly
+    0 by up to about 1e-8.  The inputs are not validated; ``DBehavior`` does
+    that for a single point.
     """
     c = np.asarray(c, dtype=float)
     gaps = {}
-    for side, delta in (("B", deltaB), ("A", deltaA)):
+    for k, (side, delta) in enumerate((("B", deltaB), ("A", deltaA))):
         denom, ct = _scaled(np.asarray(delta, dtype=float), c, side)
         cap = (denom - np.abs(c)).min(axis=(-2, -1))
         gaps["cap" + side] = cap
         gaps["tlm" + side] = np.where(
             np.abs(ct).max(axis=(-2, -1)) > 1.0 + root_tol(tol),
             np.where(cap > 0.0, 0.0, cap),
-            _tlm(np.clip(ct, -1.0, 1.0)),
+            _tlm(np.clip(ct, -1.0, 1.0), None if comp is None else comp[k]),
         )
     return gaps
 
@@ -237,9 +256,14 @@ def crypt_gaps(d: DBehavior, tol: float = DEFAULT_TOL) -> dict:
     return {k: float(v) for k, v in crypt_gaps_batch(d.deltaB, d.deltaA, d.c, tol).items()}
 
 
-def gaps_member(gaps: dict, tol: float = DEFAULT_TOL) -> bool:
-    """Membership verdict from the gaps of ``crypt_gaps``: none below -tol."""
-    return bool(min(gaps.values()) >= -tol)
+def gaps_member(gaps: dict, tol: float = DEFAULT_TOL) -> bool | np.ndarray:
+    """Membership verdict from computed gaps: none below -tol.
+
+    On the floats of ``crypt_gaps`` it returns a bool; on the arrays of
+    ``crypt_gaps_batch`` a boolean array, one verdict per point.
+    """
+    member = np.minimum.reduce(list(gaps.values())) >= -tol
+    return bool(member) if np.ndim(member) == 0 else member
 
 
 def crypt_membership(d: DBehavior, tol: float = DEFAULT_TOL) -> bool:

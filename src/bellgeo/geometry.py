@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .behavior import CBehavior
+from .behavior import SIGN_PATTERNS, CBehavior
 from .criteria import d_quantities, saturation_gaps, two_qubit_condition
 from .jsonio import Record, freeze
-from .realization import TwoQubitRealization
+from .realization import TwoQubitRealization, two_qubit_biases, two_qubit_correlators
 from .tolerances import DEFAULT_TOL, MAX_ENTANGLED_SLACK, MODEL_FIT_FACTOR, ROUNDING_ZERO
 
 
@@ -78,10 +78,7 @@ def two_qubit_of(g: GeometryParams) -> TwoQubitRealization:
 
 def d_values(g: GeometryParams) -> tuple[np.ndarray, np.ndarray]:
     """Squared guessing biases (dB, dA) of the geometry's realization."""
-    c2 = math.cos(2.0 * g.chi)
-    s2sq = math.sin(2.0 * g.chi) ** 2
-    dB = (c2 * np.cos(g.thetaA)) ** 2 + s2sq
-    dA = (c2 * np.cos(g.thetaB)) ** 2 + s2sq
+    _, _, dB, dA = two_qubit_biases(g.thetaA, g.thetaB, g.chi)
     return dB, dA
 
 
@@ -94,17 +91,6 @@ def sign_condition_ok(g: GeometryParams, tol: float = DEFAULT_TOL) -> bool:
     prodB = float(np.prod(np.sin(g.phiB[:, None] - g.thetaB[None, :])))
     prodA = float(np.prod(np.sin(g.phiA[:, None] - g.thetaA[None, :])))
     return prodB <= tol and prodA <= tol
-
-
-def _model_correlators(thetaA, thetaB, sin2chi):
-    """Two-qubit correlators C_xy; leading axes of the angle arrays broadcast."""
-    return np.cos(thetaA)[..., :, None] * np.cos(thetaB)[..., None, :] + sin2chi * (
-        np.sin(thetaA)[..., :, None] * np.sin(thetaB)[..., None, :]
-    )
-
-
-# angle sign assignments (sA0, sB0, sA1, sB1), all-plus first
-_ANGLE_SIGNS = np.array(list(itertools.product((1.0, -1.0), repeat=4)))
 
 
 def _reconstruct_max_entangled(b: CBehavior, tol: float) -> TwoQubitRealization:
@@ -120,7 +106,7 @@ def _reconstruct_max_entangled(b: CBehavior, tol: float) -> TwoQubitRealization:
     for sB1, sA1 in itertools.product((1.0, -1.0), repeat=2):
         tB1 = sB1 * math.acos(c[0, 1])
         tA1 = tB0 + sA1 * math.acos(c[1, 0])
-        model = _model_correlators(np.array([0.0, tA1]), np.array([tB0, tB1]), 1.0)
+        model = two_qubit_correlators(np.array([0.0, tA1]), np.array([tB0, tB1]), 1.0)
         if np.abs(model - b.c).max() <= MODEL_FIT_FACTOR * tol:
             return TwoQubitRealization(thetaA=(0.0, tA1), thetaB=(tB0, tB1), chi=math.pi / 4)
     raise ReconstructionError("no angle assignment reproduces the correlators at chi=pi/4")
@@ -169,9 +155,10 @@ def reconstruct(b: CBehavior, tol: float = DEFAULT_TOL) -> GeometryParams:
         baseB = np.arccos(np.clip(b.cB / cos2chi, -1.0, 1.0))
         chi = 0.5 * math.asin(min(sin2chi, 1.0))
         # the best-fitting assignment: at a loose tol a wrong one can also pass
-        thetaA = _ANGLE_SIGNS[:, [0, 2]] * baseA
-        thetaB = _ANGLE_SIGNS[:, [1, 3]] * baseB
-        misfit = np.abs(_model_correlators(thetaA, thetaB, sin2chi) - b.c).max(axis=(1, 2))
+        # angle sign assignments (sA0, sB0, sA1, sB1), all-plus first
+        thetaA = SIGN_PATTERNS[:, [0, 2]] * baseA
+        thetaB = SIGN_PATTERNS[:, [1, 3]] * baseB
+        misfit = np.abs(two_qubit_correlators(thetaA, thetaB, sin2chi) - b.c).max(axis=(1, 2))
         best = int(misfit.argmin())
         if misfit[best] <= MODEL_FIT_FACTOR * tol:
             return _canonicalize(

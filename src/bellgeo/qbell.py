@@ -9,13 +9,12 @@ the geometry down uniquely.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .behavior import DBehavior
+from .behavior import SIGN_PATTERNS, DBehavior
 from .geometry import GeometryParams, d_values
 from .jsonio import Record, freeze
 from .realization import simulate_dbehavior
@@ -208,11 +207,6 @@ def recovered_d_squared(coeff: QBellCoefficients, q: float, t: float) -> tuple[f
     return float(d0), float(d1)
 
 
-# the 16 sign patterns sigma of the four equations, all-plus (the reference
-# root's pattern) first
-_SIGNS = np.array(list(itertools.product((1.0, -1.0), repeat=4)))
-
-
 def _ratio_coefficients(coeff: QBellCoefficients) -> tuple[np.ndarray, np.ndarray]:
     """Offsets p and slopes q of the uniqueness ratios.
 
@@ -276,15 +270,17 @@ def uniqueness_check(g: GeometryParams, tol: float = UNIQUENESS_RESIDUAL) -> Uni
     pB, qB = _ratio_coefficients(coeffB)
     ref = np.array([math.cos(coeffA.dthetaRef), math.cos(coeffB.dthetaRef)])
 
-    m = np.stack([np.broadcast_to(qA, _SIGNS.shape), -_SIGNS * qB], axis=-1)
-    rhs = _SIGNS * pB - pA
+    # one row of sign patterns sigma per system, all-plus (the reference
+    # root's pattern) first
+    m = np.stack([np.broadcast_to(qA, SIGN_PATTERNS.shape), -SIGN_PATTERNS * qB], axis=-1)
+    rhs = SIGN_PATTERNS * pB - pA
     left, sv, vt = np.linalg.svd(m, full_matrices=False)
     proj = np.einsum("nki,nk->ni", left, rhs)
     full_rank = sv[:, 1] > RANK_TOL * sv[:, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         points = np.einsum("nij,ni->nj", vt, proj / sv)
     candidates = [ref]
-    for n in range(len(_SIGNS)):
+    for n in range(len(SIGN_PATTERNS)):
         if full_rank[n]:
             candidates.append(np.clip(points[n], -1.0, 1.0))
         else:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -119,6 +120,87 @@ def promote(r: TwoQubitRealization) -> GeneralRealization:
         psi=psi,
         A=tuple(xz_observable(t) for t in r.thetaA),
         B=tuple(xz_observable(t) for t in r.thetaB),
+    )
+
+
+def _correlators(cosA, sinA, cosB, sinB, sin2chi) -> np.ndarray:
+    s2 = np.asarray(sin2chi, dtype=float)[..., None, None]
+    return cosA[..., :, None] * cosB[..., None, :] + s2 * (sinA[..., :, None] * sinB[..., None, :])
+
+
+def two_qubit_correlators(thetaA, thetaB, sin2chi) -> np.ndarray:
+    """C_xy = cos(thetaA_x) cos(thetaB_y) + sin2chi sin(thetaA_x) sin(thetaB_y).
+
+    The angle arrays have shape (..., 2) and ``sin2chi`` is a scalar or has
+    their leading shape; the result has shape (..., 2, 2).
+    """
+    return _correlators(np.cos(thetaA), np.sin(thetaA), np.cos(thetaB), np.sin(thetaB), sin2chi)
+
+
+class TwoQubitBehaviors(NamedTuple):
+    """Closed-form behaviors of stacked two-qubit realizations; see
+    ``two_qubit_behaviors``."""
+
+    cA: np.ndarray
+    cB: np.ndarray
+    c: np.ndarray
+    deltaB: np.ndarray
+    deltaA: np.ndarray
+    compB: np.ndarray
+    compA: np.ndarray
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    den = np.broadcast_to(den, num.shape)
+    return np.divide(num, den, out=np.ones_like(num), where=den > 0.0)
+
+
+def two_qubit_biases(thetaA, thetaB, chi) -> tuple[np.ndarray, ...]:
+    """Marginals and squared guessing biases of stacked two-qubit realizations.
+
+    Returns (cA, cB, deltaB, deltaA) with cA_x = cos(2 chi) cos(thetaA_x),
+    cB_y likewise, deltaB_x = cA_x^2 + sin^2(2 chi) and deltaA_y = cB_y^2 +
+    sin^2(2 chi); shapes as in ``two_qubit_behaviors``.
+    """
+    chi = np.asarray(chi, dtype=float)
+    c2 = np.cos(2.0 * chi)[..., None]
+    s2sq = (np.sin(2.0 * chi) ** 2)[..., None]
+    cA = c2 * np.cos(thetaA)
+    cB = c2 * np.cos(thetaB)
+    return cA, cB, cA**2 + s2sq, cB**2 + s2sq
+
+
+def two_qubit_behaviors(thetaA, thetaB, chi) -> TwoQubitBehaviors:
+    """Both behaviors of stacked two-qubit realizations, in closed form.
+
+    ``thetaA`` and ``thetaB`` have shape (..., 2) and ``chi`` the leading
+    shape (...); every field has those leading axes.
+    - cA, cB, deltaB and deltaA as in ``two_qubit_biases``;
+    - C_xy as in ``two_qubit_correlators`` at sin(2 chi);
+    - compB and compA, 1 - c~^2 of the correlators scaled by sqrt(deltaB_x)
+      and by sqrt(deltaA_y), with 1 where the bias vanishes.
+    These are the values of ``simulate_cbehavior`` and ``simulate_dbehavior``
+    up to rounding, without the state, the matrices or the
+    eigendecompositions.  The complements come from the squares
+    deltaB_x - C_xy^2 = (cos thetaA_x sin thetaB_y - sin 2chi sin thetaA_x cos thetaB_y)^2
+    and deltaA_y - C_xy^2 = (sin thetaA_x cos thetaB_y - sin 2chi cos thetaA_x sin thetaB_y)^2.
+    Formed from a rounded c~ instead, 1 - c~^2 keeps only half its digits
+    near |c~| = 1, and the boundary gap it feeds moves by up to about 1e-8.
+    """
+    cA, cB, deltaB, deltaA = two_qubit_biases(thetaA, thetaB, chi)
+    s2 = np.sin(2.0 * np.asarray(chi, dtype=float))
+    cosA, sinA, cosB, sinB = np.cos(thetaA), np.sin(thetaA), np.cos(thetaB), np.sin(thetaB)
+    s2m = s2[..., None, None]
+    orthB = cosA[..., :, None] * sinB[..., None, :] - s2m * (sinA[..., :, None] * cosB[..., None, :])
+    orthA = sinA[..., :, None] * cosB[..., None, :] - s2m * (cosA[..., :, None] * sinB[..., None, :])
+    return TwoQubitBehaviors(
+        cA=cA,
+        cB=cB,
+        c=_correlators(cosA, sinA, cosB, sinB, s2),
+        deltaB=deltaB,
+        deltaA=deltaA,
+        compB=_ratio(orthB**2, deltaB[..., :, None]),
+        compA=_ratio(orthA**2, deltaA[..., None, :]),
     )
 
 
@@ -292,13 +374,24 @@ def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     return qmat * phases
 
 
+def random_two_qubit_params(
+    rng: np.random.Generator, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``n`` draws of (thetaA, thetaB, chi): angles uniform on [0, 2pi), chi
+    uniform on [0, pi/4], as arrays of shape (n, 2), (n, 2) and (n,).
+
+    One ``rng.random((n, 5))`` call scaled by 2pi and pi/4; row k is the
+    draw of the k-th of n successive ``random_two_qubit`` calls.
+    """
+    u = rng.random((n, 5))
+    return u[:, 0:2] * (2.0 * math.pi), u[:, 2:4] * (2.0 * math.pi), u[:, 4] * (math.pi / 4.0)
+
+
 def random_two_qubit(rng: np.random.Generator) -> TwoQubitRealization:
-    """Angles uniform on [0, 2pi), chi uniform on [0, pi/4]."""
-    return TwoQubitRealization(
-        thetaA=rng.uniform(0.0, 2.0 * math.pi, size=2),
-        thetaB=rng.uniform(0.0, 2.0 * math.pi, size=2),
-        chi=rng.uniform(0.0, math.pi / 4.0),
-    )
+    """Angles uniform on [0, 2pi), chi uniform on [0, pi/4]: one row of
+    ``random_two_qubit_params``."""
+    thetaA, thetaB, chi = random_two_qubit_params(rng, 1)
+    return TwoQubitRealization(thetaA=thetaA[0], thetaB=thetaB[0], chi=chi[0])
 
 
 def random_general(rng: np.random.Generator, dimA: int = 2, dimB: int = 2) -> GeneralRealization:

@@ -15,6 +15,12 @@ import math
 #: leaves six orders of magnitude for rounding along the pipeline.
 DEFAULT_TOL = 1e-9
 
+#: Tolerance of the gaps that ``counterexample --format csv`` bisects: none.
+#: The boundary curves trace the exact feasible edge, where a scaled
+#: correlator reaches 1.  A tolerance e would admit scaled correlators up to
+#: 1 + sqrt(e) and move a printed end about sqrt(e) into the infeasible side.
+BOUNDARY_TOL = 0.0
+
 #: Residual below which a self-testing operator identity or an
 #: added-measurement correlator counts as certified; the protocols' default
 #: ``tol``.  Exact realizations leave residuals near 1e-10 or below.

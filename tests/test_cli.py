@@ -9,11 +9,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bellgeo import criteria
-from bellgeo.behavior import DBehavior
-from bellgeo.cli import _boundary_intervals, _pq_realizations, main
-from bellgeo.criteria import crypt_gaps
+from bellgeo.behavior import DBehavior, chsh_values
+from bellgeo.cli import _boundary_intervals, _pq_realizations, _sweep_columns, main
+from bellgeo.criteria import crypt_gaps, scaled_correlators
 from bellgeo.geometry import GeometryParams, projection_angles, symmetry_equivalent
-from bellgeo.realization import TwoQubitRealization, promote, simulate_cbehavior, simulate_dbehavior
+from bellgeo.realization import (
+    TwoQubitRealization,
+    promote,
+    random_two_qubit,
+    random_two_qubit_params,
+    simulate_cbehavior,
+    simulate_dbehavior,
+)
+from bellgeo.tolerances import BOUNDARY_TOL
 
 P_JSON = TwoQubitRealization(
     thetaA=[0.0, math.pi / 2], thetaB=[1e-9, -math.pi / 4], chi=math.pi / 12
@@ -194,9 +202,9 @@ def test_counterexample_csv_sections(tmp_path):
 
 
 def _scalar_boundary_interval(d_ref: DBehavior, side: str, c11: float):
-    """The scalar bisection the CLI used before it bisected all curves in
-    lockstep, one ``crypt_gaps`` call per point: the reference its rows must
-    equal exactly."""
+    """A scalar bisection, one ``crypt_gaps`` call per point, under the same
+    strict rule (no slack on the scaled correlators): the reference the
+    lockstep rows must equal exactly."""
     c = np.array(d_ref.c)
     c[1, 1] = c11
 
@@ -205,7 +213,7 @@ def _scalar_boundary_interval(d_ref: DBehavior, side: str, c11: float):
             d = DBehavior(deltaB=(d_ref.deltaB[0], delta), deltaA=d_ref.deltaA, c=c)
         else:
             d = DBehavior(deltaB=d_ref.deltaB, deltaA=(d_ref.deltaA[0], delta), c=c)
-        return crypt_gaps(d)["tlm" + side]
+        return crypt_gaps(d, tol=BOUNDARY_TOL)["tlm" + side]
 
     lo = c11 * c11
     if gap(lo) < 0.0 and gap(1.0) < 0.0:
@@ -271,7 +279,8 @@ def test_counterexample_boundary_rows(capsys, eps):
             def gap(delta):
                 deltas = {"B": p_d.deltaB.copy(), "A": p_d.deltaA.copy()}
                 deltas[side][1] = delta
-                return crypt_gaps(DBehavior(deltaB=deltas["B"], deltaA=deltas["A"], c=c))["tlm" + side]
+                d = DBehavior(deltaB=deltas["B"], deltaA=deltas["A"], c=c)
+                return crypt_gaps(d, tol=BOUNDARY_TOL)["tlm" + side]
 
             # feasible just inside each end, infeasible just outside it
             # unless the end is the cap C_11^2 or 1
@@ -282,6 +291,17 @@ def test_counterexample_boundary_rows(capsys, eps):
                 assert gap(min(hi + 1e-6, 1.0)) < 0.0
         assert [next(body).split(",")[1] for _ in range(3)] == ["P", "Q", "L"]
     assert next(body, None) is None
+
+
+@pytest.mark.parametrize("eps", [1e-4, 0.01])
+def test_counterexample_lower_end_is_exact(capsys, eps):
+    # section A at C_11 = 0 is feasible down to delta^A_1 = C_01^2 = 1/2,
+    # where the scaled correlator C_01 / sqrt(delta^A_1) reaches 1; a gap
+    # with slack would print about 0.49996838 = 0.5 / (1 + sqrt(1e-9))^2
+    assert main(["counterexample", "--epsilon", repr(eps), "--format", "csv", "--samples", "61"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    (row,) = [r for r in rows if r[:2] == ["A", "boundary"] and abs(float(r[2])) < 1e-12]
+    assert abs(float(row[3]) - 0.5) <= 1e-9
 
 
 def test_boundary_intervals_every_branch(monkeypatch):
@@ -324,6 +344,96 @@ def test_sweep_chi_grid(capsys):
     last = lines[-1].split(",")
     assert float(last[1]) == pytest.approx(math.pi / 4, abs=1e-9)
     assert float(last[2]) == pytest.approx(1.0, abs=1e-9)
+
+
+def _sweep_rows(capsys, argv):
+    assert main(argv) == 0
+    return [[float(v) for v in line.split(",")] for line in capsys.readouterr().out.splitlines()[1:]]
+
+
+def test_sweep_echoes_the_draws(capsys):
+    rows = _sweep_rows(capsys, ["sweep", "--seed", "5", "--samples", "300"])
+    rng = np.random.default_rng(5)
+    for row in rows:
+        r = random_two_qubit(rng)
+        want = [*r.thetaA, *r.thetaB, r.chi]
+        assert row[1:6] == [float(f"{v:.10g}") for v in want]
+
+
+def _matrix_columns(r: TwoQubitRealization, tol: float = 1e-9):
+    """chshMax, cryptMember, tlmGapB, tlmGapA by the per-sample matrix path,
+    and per side the smallest 1 - c~^2 over the scaled correlators."""
+    d = simulate_dbehavior(r)
+    gaps = crypt_gaps(d, tol)
+    chsh = float(np.abs(chsh_values(simulate_cbehavior(r))).max())
+    comp = [float((1.0 - scaled_correlators(d, side) ** 2).min()) for side in ("B", "A")]
+    return chsh, criteria.gaps_member(gaps, tol), gaps["tlmB"], gaps["tlmA"], comp
+
+
+def test_sweep_columns_match_matrix_path(capsys):
+    rows = _sweep_rows(capsys, ["sweep", "--seed", "11", "--samples", "400"])
+    thetaA, thetaB, chi = random_two_qubit_params(np.random.default_rng(11), 400)
+    chsh, member, gaps = _sweep_columns(thetaA, thetaB, chi, 1e-9)
+    columns = np.column_stack([chsh, member, gaps["tlmB"], gaps["tlmA"]])
+    assert [row[6:] for row in rows] == [[float(f"{v:.10g}") for v in col] for col in columns]
+    assert member.all()
+    for k in range(400):
+        r = TwoQubitRealization(thetaA=thetaA[k], thetaB=thetaB[k], chi=chi[k])
+        want_chsh, want_member, want_b, want_a, comp = _matrix_columns(r)
+        assert abs(chsh[k] - want_chsh) <= 1e-12
+        assert member[k] == want_member
+        # a gap moves by about e / sqrt(1 - c~^2) when a scaled correlator
+        # c~ near +-1 moves by e, and the matrix path's c~ is off by e ~ 1e-16:
+        # row 25 of this draw has 1 - c~^2 = 1.6e-10 and gaps 1.5e-11 apart
+        for got, want, m in ((gaps["tlmB"][k], want_b, comp[0]), (gaps["tlmA"][k], want_a, comp[1])):
+            assert abs(got - want) <= 1e-12 + 1e-15 / math.sqrt(max(m, 1e-300))
+
+
+def test_sweep_gap_is_exact_where_a_scaled_correlator_reaches_one():
+    # a draw of the sweep whose side-A scaled correlator c~_00 is 1 - 1.8e-17
+    # and whose side-A gap is exactly 0; from the rounded c~, 1 - c~^2 is 0
+    # instead of 3.6e-17, and the gap came out -5.7e-9, so cryptMember was 0
+    thetaA = np.array([[3.734143482278612, 3.728012823861153]])
+    thetaB = np.array([[1.2363696744401378, 1.8439301473068954]])
+    chi = np.array([0.11806513748003136])
+    _, member, gaps = _sweep_columns(thetaA, thetaB, chi, 1e-9)
+    assert member[0]
+    assert abs(gaps["tlmA"][0]) <= 1e-15 and gaps["tlmB"][0] > 1.0
+
+
+def test_sweep_chi_grid_matches_matrix_path(capsys):
+    samples = 101
+    assert main(["sweep", "--mode", "chi-grid", "--samples", str(samples)]) == 0
+    want = ["index,chi,sin2chiSquared,chshMax,cryptMember"]
+    for i, chi in enumerate(np.linspace(0.0, math.pi / 4, samples)):
+        r = TwoQubitRealization(thetaA=(0.0, math.pi / 2), thetaB=(math.pi / 4, -math.pi / 4), chi=chi)
+        chsh, member, *_ = _matrix_columns(r)
+        want.append(f"{i},{chi:.10g},{math.sin(2 * chi) ** 2:.10g},{chsh:.10g},{int(member)}")
+    assert capsys.readouterr().out.splitlines() == want
+
+
+def test_sweep_honours_tol(monkeypatch, capsys):
+    seen = []
+    batch, member = criteria.crypt_gaps_batch, criteria.gaps_member
+
+    def recording_batch(deltaB, deltaA, c, tol=None, **kwargs):
+        seen.append(("gaps", tol))
+        return batch(deltaB, deltaA, c, tol, **kwargs)
+
+    def recording_member(gaps, tol=None):
+        seen.append(("member", tol))
+        return member(gaps, tol)
+
+    monkeypatch.setattr(criteria, "crypt_gaps_batch", recording_batch)
+    monkeypatch.setattr(criteria, "gaps_member", recording_member)
+    monkeypatch.delenv("NONLOC_TOL", raising=False)
+    assert main(["sweep", "--samples", "5"]) == 0
+    assert main(["sweep", "--samples", "5", "--tol", "1e-6"]) == 0
+    monkeypatch.setenv("NONLOC_TOL", "1e-7")
+    assert main(["sweep", "--samples", "5"]) == 0
+    assert main(["sweep", "--mode", "chi-grid", "--samples", "5"]) == 0
+    capsys.readouterr()
+    assert seen == [(kind, tol) for tol in (1e-9, 1e-6, 1e-7, 1e-7) for kind in ("gaps", "member")]
 
 
 def test_samples_must_be_positive(capsys):

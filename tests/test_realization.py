@@ -14,8 +14,10 @@ from bellgeo.realization import (
     promote,
     random_general,
     random_two_qubit,
+    random_two_qubit_params,
     simulate_cbehavior,
     simulate_dbehavior,
+    two_qubit_behaviors,
     xz_observable,
 )
 
@@ -185,3 +187,61 @@ def test_json_round_trips():
     assert np.array_equal(g2.psi, g.psi)
     for m1, m2 in zip(g.A + g.B, g2.A + g2.B):
         assert np.array_equal(m1, m2)
+
+
+def _kernel_cases():
+    """2000 random draws, then the degenerate edges: chi at and near 0 and
+    pi/4, angles at 0 and pi.  chi between about 1e-7 and 1e-5 is left out:
+    there sin^2(chi) meets SUPPORT_CUTOFF, and the matrix path's dropped
+    eigenvalue costs it up to 4e-12 in the biases."""
+    rng = np.random.default_rng(7)
+    cases = [random_two_qubit(rng) for _ in range(2000)]
+    for chi in (0.0, 1e-12, 1e-9, 1e-4, math.pi / 4 - 1e-7, math.pi / 4 - 1e-12, math.pi / 4):
+        for _ in range(20):
+            tA, tB = rng.choice([0.0, math.pi, rng.uniform(0.0, 2.0 * math.pi)], size=(2, 2))
+            cases.append(TwoQubitRealization(thetaA=tA, thetaB=tB, chi=chi))
+    return cases
+
+
+def test_two_qubit_kernel_matches_matrix_path():
+    cases = _kernel_cases()
+    thetaA = np.array([r.thetaA for r in cases])
+    thetaB = np.array([r.thetaB for r in cases])
+    chi = np.array([r.chi for r in cases])
+    k = two_qubit_behaviors(thetaA, thetaB, chi)
+    assert k.c.shape == k.compA.shape == (len(cases), 2, 2) and k.deltaA.shape == (len(cases), 2)
+    for i, r in enumerate(cases):
+        b, d = simulate_cbehavior(r), simulate_dbehavior(r)
+        assert np.abs(k.cA[i] - b.cA).max() <= 1e-14
+        assert np.abs(k.cB[i] - b.cB).max() <= 1e-14
+        assert np.abs(k.c[i] - b.c).max() <= 1e-14
+        assert np.abs(k.deltaB[i] - d.deltaB).max() <= 1e-14
+        assert np.abs(k.deltaA[i] - d.deltaA).max() <= 1e-14
+    # the complements are 1 - c~^2 of both sides' scaled correlators
+    assert np.abs(k.compB - (1.0 - k.c**2 / k.deltaB[:, :, None])).max() <= 1e-14
+    assert np.abs(k.compA - (1.0 - k.c**2 / k.deltaA[:, None, :])).max() <= 1e-14
+    assert k.compB.min() >= 0.0 and k.compA.min() >= 0.0
+    # any leading shape, and one realization is the scalar view
+    stacked = two_qubit_behaviors(thetaA[:60].reshape(6, 10, 2), thetaB[:60].reshape(6, 10, 2),
+                                  chi[:60].reshape(6, 10))
+    one = two_qubit_behaviors(cases[7].thetaA, cases[7].thetaB, cases[7].chi)
+    for full, st, single in zip(k, stacked, one):
+        assert np.array_equal(st.reshape(full[:60].shape), full[:60])
+        assert np.array_equal(single, full[7])
+
+
+def test_batched_draw_is_successive_single_draws():
+    # the stream of rng.uniform(0, h) = h * U, two angles per side then chi
+    for seed in range(20):
+        thetaA, thetaB, chi = random_two_qubit_params(np.random.default_rng(seed), 30)
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for k in range(30):
+            r = random_two_qubit(rng)
+            assert np.array_equal(r.thetaA, thetaA[k]) and np.array_equal(r.thetaB, thetaB[k])
+            assert r.chi == chi[k]
+            assert np.array_equal(r.thetaA, ref.uniform(0.0, 2.0 * math.pi, size=2))
+            assert np.array_equal(r.thetaB, ref.uniform(0.0, 2.0 * math.pi, size=2))
+            assert r.chi == ref.uniform(0.0, math.pi / 4.0)
+    assert chi.min() >= 0.0 and chi.max() <= math.pi / 4
+    assert thetaA.min() >= 0.0 and thetaB.max() < 2.0 * math.pi
+
