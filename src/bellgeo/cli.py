@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import behavior, criteria, geometry, jsonio, qbell, realization, selftest
-from .tolerances import BOUNDARY_TOL
+from .tolerances import BOUNDARY_TOL, DEFAULT_TOL, RESIDUAL_PASS
 
 PASS, ERROR, FAIL = 0, 1, 2
 
@@ -196,15 +196,11 @@ def cmd_selftest(args) -> int:
         ext = selftest.ExtendedRealization(base=base, B2=b2)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+    protocols = {"addedZ": selftest.protocol_zb, "paired": selftest.protocol_lemma6_pair}
     protocol = data.get("protocol", "addedZ")
-    if protocol == "addedZ":
-        report = selftest.protocol_zb(ext, tol=args.tol if args.tol_set else selftest.RESIDUAL_PASS)
-    elif protocol == "paired":
-        report = selftest.protocol_lemma6_pair(
-            ext, tol=args.tol if args.tol_set else selftest.RESIDUAL_PASS
-        )
-    else:
+    if not isinstance(protocol, str) or protocol not in protocols:
         raise CliError(f"unknown protocol {protocol!r}")
+    report = protocols[protocol](ext, tol=args.tol)
     _write(args.output, jsonio.dumps(report, indent=2))
     return PASS if report["selfTested"] else FAIL
 
@@ -383,33 +379,41 @@ def cmd_sweep(args) -> int:
     return PASS
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument error is a ``CliError``: one ``error:`` line and exit 1."""
+
+    def error(self, message):
+        raise CliError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bellgeo",
         description="Geometry, boundary criteria, and self-testing for the "
         "two-party two-setting Bell scenario.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
+    def command(name, help, needs_input=True, tol=True):
+        p = sub.add_parser(name, help=help)
         if needs_input:
             p.add_argument("--input", "-i", help="path, '-' for stdin, or inline JSON")
         p.add_argument("--output", "-o", help="output path (default stdout)")
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        if tol:
+            p.add_argument("--tol", type=float, default=None, help="tolerance override")
+        return p
 
-    common(sub.add_parser("simulate", help="behaviors of a realization"))
-    common(sub.add_parser("check", help="extremality / membership criteria"))
-    common(sub.add_parser("geometry", help="reconstruct the planar geometry"))
-    common(sub.add_parser("qbell", help="quantum Bell pair and uniqueness"))
-    common(sub.add_parser("selftest", help="run a self-testing protocol"))
-    ce = sub.add_parser("counterexample", help="local-but-not-quantum extrapolation")
-    common(ce, needs_input=False)
+    command("simulate", "behaviors of a realization", tol=False)
+    command("check", "extremality / membership criteria")
+    command("geometry", "reconstruct the planar geometry")
+    command("qbell", "quantum Bell pair and uniqueness")
+    command("selftest", "run a self-testing protocol")
+    ce = command("counterexample", "local-but-not-quantum extrapolation", needs_input=False)
+    ce.add_argument("--format", choices=("json", "csv"), default="json")
     ce.add_argument("--epsilon", type=float, default=0.01)
     ce.add_argument("--samples", type=int, default=61, help="points per boundary curve")
-    sw = sub.add_parser("sweep", help="randomized or grid CSV datasets")
-    common(sw, needs_input=False)
+    sw = command("sweep", "randomized or grid CSV datasets", needs_input=False)
     sw.add_argument("--seed", type=int, default=0)
     sw.add_argument("--samples", type=int, default=100)
     sw.add_argument("--mode", choices=("random", "chi-grid"), default="random")
@@ -417,11 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    args.tol_set = args.tol is not None
-    if args.tol is None:
-        env = os.environ.get("NONLOC_TOL")
-        args.tol = float(env) if env else behavior.DEFAULT_TOL
     handlers = {
         "simulate": cmd_simulate,
         "check": cmd_check,
@@ -432,6 +431,11 @@ def main(argv=None) -> int:
         "sweep": cmd_sweep,
     }
     try:
+        args = build_parser().parse_args(argv)
+        if "tol" in args and args.tol is None:
+            env = os.environ.get("NONLOC_TOL")
+            default = RESIDUAL_PASS if args.command == "selftest" else DEFAULT_TOL
+            args.tol = float(env) if env else default
         return handlers[args.command](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,7 +11,6 @@ determines this geometry uniquely up to four obvious symmetries.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -103,13 +102,16 @@ def _reconstruct_max_entangled(b: CBehavior, tol: float) -> TwoQubitRealization:
         )
     c = np.clip(b.c, -1.0, 1.0)
     tB0 = math.acos(c[0, 0])
-    for sB1, sA1 in itertools.product((1.0, -1.0), repeat=2):
-        tB1 = sB1 * math.acos(c[0, 1])
-        tA1 = tB0 + sA1 * math.acos(c[1, 0])
-        model = two_qubit_correlators(np.array([0.0, tA1]), np.array([tB0, tB1]), 1.0)
-        if np.abs(model - b.c).max() <= MODEL_FIT_FACTOR * tol:
-            return TwoQubitRealization(thetaA=(0.0, tA1), thetaB=(tB0, tB1), chi=math.pi / 4)
-    raise ReconstructionError("no angle assignment reproduces the correlators at chi=pi/4")
+    # the best-fitting of the four sign assignments (sB1, sA1), as in
+    # ``reconstruct``: at a loose tol a wrong one can also pass
+    signs = SIGN_PATTERNS[:4, 2:]
+    thetaA = np.stack([np.zeros(4), tB0 + signs[:, 1] * math.acos(c[1, 0])], axis=-1)
+    thetaB = np.stack([np.full(4, tB0), signs[:, 0] * math.acos(c[0, 1])], axis=-1)
+    misfit = np.abs(two_qubit_correlators(thetaA, thetaB, 1.0) - b.c).max(axis=(1, 2))
+    best = int(misfit.argmin())
+    if misfit[best] > MODEL_FIT_FACTOR * tol:
+        raise ReconstructionError("no angle assignment reproduces the correlators at chi=pi/4")
+    return TwoQubitRealization(thetaA=thetaA[best], thetaB=thetaB[best], chi=math.pi / 4)
 
 
 def reconstruct(b: CBehavior, tol: float = DEFAULT_TOL) -> GeometryParams:
@@ -195,13 +197,17 @@ def symmetry_transforms(g: GeometryParams) -> list[GeometryParams]:
     return out
 
 
+def _match_geometries(g: GeometryParams, g2: GeometryParams, tol: float, b_angles: int = 1):
+    """The first symmetry image of g2 whose A-angles and first ``b_angles``
+    B-angles lie within tol of g's, angles mod 2 pi; None if there is none."""
+    for cand in symmetry_transforms(g2):
+        if _angles_close(cand.thetaA, g.thetaA, tol) and _angles_close(
+            cand.thetaB[:b_angles], g.thetaB[:b_angles], tol
+        ):
+            return cand
+    return None
+
+
 def symmetry_equivalent(g1: GeometryParams, g2: GeometryParams, tol: float = DEFAULT_TOL) -> bool:
     """True iff g2 is one of the four symmetric images of g1, angles mod 2 pi."""
-    if abs(g1.chi - g2.chi) > tol:
-        return False
-    for cand in symmetry_transforms(g1):
-        if _angles_close(cand.thetaA, np.asarray(g2.thetaA), tol) and _angles_close(
-            cand.thetaB, np.asarray(g2.thetaB), tol
-        ):
-            return True
-    return False
+    return abs(g1.chi - g2.chi) <= tol and _match_geometries(g2, g1, tol, b_angles=2) is not None

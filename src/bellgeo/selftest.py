@@ -6,7 +6,8 @@ the state's support.  The swap isometry uses those operators to pump the
 shared state into an ancilla qubit pair; unit extraction fidelity
 certifies the realization up to local isometries.  Two protocols extend
 the scenario with a third observable on Bob's side to make the
-certification work device-independently.
+certification work device-independently; the paired one is the first link
+of a chain that adds any number of observables against one certified base.
 """
 
 from __future__ import annotations
@@ -16,13 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    GeometryParams,
-    ReconstructionError,
-    projection_angles,
-    reconstruct,
-    symmetry_transforms,
-)
+from .geometry import GeometryParams, ReconstructionError, _match_geometries, reconstruct
 from .jsonio import freeze
 from .realization import GeneralRealization, simulate_cbehavior
 from .tolerances import (
@@ -48,7 +43,6 @@ class IsometryResult:
     fidelity: float
     extractedState: np.ndarray
     junkNorm: float
-    residuals: dict
 
 
 @dataclass(frozen=True)
@@ -174,16 +168,23 @@ def swap_isometry(
     k = int(np.argmax(np.abs(extracted)))
     phase = extracted[k] / abs(extracted[k])
     extracted = extracted / phase
-    return IsometryResult(
-        fidelity=fidelity,
-        extractedState=extracted,
-        junkNorm=math.sqrt(out_norm2),
-        residuals={},
-    )
+    return IsometryResult(fidelity=fidelity, extractedState=extracted, junkNorm=math.sqrt(out_norm2))
 
 
 def _expectation(m: np.ndarray, alice=None, bob=None) -> float:
     return float(np.vdot(m, _apply(m, alice=alice, bob=bob)).real)
+
+
+def _base_geometry(r: GeneralRealization, tol: float):
+    """The base's geometry at root_tol(tol) and None, or None and the error."""
+    try:
+        return reconstruct(simulate_cbehavior(r), tol=root_tol(tol)), None
+    except ReconstructionError as exc:
+        return None, f"base behavior fails reconstruction: {exc}"
+
+
+def _self_tested(residuals: dict, fidelity: float, tol: float) -> bool:
+    return bool(max(residuals.values()) <= tol and abs(fidelity - 1.0) <= root_tol(tol))
 
 
 def protocol_zb(ext: ExtendedRealization, tol: float = RESIDUAL_PASS) -> dict:
@@ -195,12 +196,10 @@ def protocol_zb(ext: ExtendedRealization, tol: float = RESIDUAL_PASS) -> dict:
     swap circuit.
     """
     r = ext.base
-    b = simulate_cbehavior(r)
     report: dict = {"protocol": "addedZ", "selfTested": False}
-    try:
-        g = reconstruct(b, tol=root_tol(tol))
-    except ReconstructionError as exc:
-        report["error"] = f"base behavior fails reconstruction: {exc}"
+    g, error = _base_geometry(r, tol)
+    if error:
+        report["error"] = error
         return report
     report["geometry"] = g.to_json_dict()
     m = r.state_matrix
@@ -217,25 +216,35 @@ def protocol_zb(ext: ExtendedRealization, tol: float = RESIDUAL_PASS) -> dict:
         report["error"] = "added-measurement correlators do not match the geometry"
         return report
     derived = derive_operators(r, g)
-    ops = DerivedOperators(ZA=derived.ZA, XA=derived.XA, ZB=np.asarray(ext.B2), XB=derived.XB)
+    ops = DerivedOperators(ZA=derived.ZA, XA=derived.XA, ZB=ext.B2, XB=derived.XB)
     residuals = anticommutator_residual(r, ops, g)
     report["residuals"] = residuals
-    iso = swap_isometry(r, ops, g.chi)
-    report["fidelity"] = iso.fidelity
-    report["selfTested"] = bool(
-        max(residuals.values()) <= tol and abs(iso.fidelity - 1.0) <= root_tol(tol)
-    )
+    report["fidelity"] = swap_isometry(r, ops, g.chi).fidelity
+    report["selfTested"] = _self_tested(residuals, report["fidelity"], tol)
     return report
 
 
-def _match_geometries(g: GeometryParams, g2: GeometryParams, tol: float):
-    """Symmetry image of g2 sharing g's A-angles and first B-angle, if any."""
-    for cand in symmetry_transforms(g2):
-        dA = np.mod(np.asarray(cand.thetaA) - np.asarray(g.thetaA) + math.pi, 2 * math.pi) - math.pi
-        dB0 = (cand.thetaB[0] - g.thetaB[0] + math.pi) % (2 * math.pi) - math.pi
-        if np.abs(dA).max() <= tol and abs(dB0) <= tol:
-            return cand
-    return None
+def _added_angle(r: GeneralRealization, g: GeometryParams, b2: np.ndarray, ang_tol: float):
+    """theta^B_2 of {A_0, A_1, B_0, B_2} in g's plane and None, or None and the error.
+
+    The geometry of the extended behavior must agree with g on chi, the
+    A-angles and theta^B_0, up to a symmetry image, and B_2 must not repeat
+    B_0.
+    """
+    alt = GeneralRealization(dimA=r.dimA, dimB=r.dimB, psi=r.psi, A=r.A, B=(r.B[0], b2))
+    try:
+        g2 = reconstruct(simulate_cbehavior(alt), tol=ang_tol)
+    except ReconstructionError as exc:
+        return None, f"extended behavior fails reconstruction: {exc}"
+    if abs(g.chi - g2.chi) > ang_tol:
+        return None, f"entanglement mismatch between reconstructions: {g.chi} vs {g2.chi}"
+    matched = _match_geometries(g, g2, ang_tol)
+    if matched is None:
+        return None, "reconstructions do not share the measurement plane"
+    theta2 = float(matched.thetaB[1])
+    if abs(math.sin(theta2 - g.thetaB[0])) < COINCIDENT_SIN:
+        return None, "added observable coincides with B_0 (degenerate pair)"
+    return theta2, None
 
 
 def protocol_lemma6_pair(ext: ExtendedRealization, tol: float = RESIDUAL_PASS) -> dict:
@@ -244,66 +253,47 @@ def protocol_lemma6_pair(ext: ExtendedRealization, tol: float = RESIDUAL_PASS) -
     Both measurement sets {A_0,A_1,B_0,B_1} and {A_0,A_1,B_0,B_2} must
     determine geometries agreeing on chi, the A-angles and theta^B_0; the
     second geometry then certifies B_2 as a third in-plane observable and
-    reports its angle.
+    reports its angle.  This is the chain of length one.
     """
-    r = ext.base
-    report: dict = {"protocol": "pairedReconstruction", "selfTested": False}
-    ang_tol = root_tol(tol)
-    try:
-        g = reconstruct(simulate_cbehavior(r), tol=ang_tol)
-    except ReconstructionError as exc:
-        report["error"] = f"base behavior fails reconstruction: {exc}"
-        return report
-    alt = GeneralRealization(
-        dimA=r.dimA, dimB=r.dimB, psi=r.psi, A=r.A, B=(r.B[0], np.asarray(ext.B2))
-    )
-    try:
-        g2 = reconstruct(simulate_cbehavior(alt), tol=ang_tol)
-    except ReconstructionError as exc:
-        report["error"] = f"extended behavior fails reconstruction: {exc}"
-        return report
-    if abs(g.chi - g2.chi) > ang_tol:
-        report["error"] = f"entanglement mismatch between reconstructions: {g.chi} vs {g2.chi}"
-        return report
-    matched = _match_geometries(g, g2, ang_tol)
-    if matched is None:
-        report["error"] = "reconstructions do not share the measurement plane"
-        return report
-    theta2 = float(matched.thetaB[1])
-    if abs(math.sin(theta2 - g.thetaB[0])) < COINCIDENT_SIN:
-        report["error"] = "added observable coincides with B_0 (degenerate pair)"
-        return report
-    ops = derive_operators(r, g)
-    residuals = anticommutator_residual(r, ops, g)
-    # in-plane certification of the added observable itself; the marginal
-    # only fixes cos(theta2), so both signs are candidate angles and the
-    # state-level residual resolves the ambiguity
-    m = r.state_matrix
-
-    def in_plane_residual(t):
-        model = math.sin(t) * ops.XB + math.cos(t) * ops.ZB
-        return float(np.linalg.norm(_apply(m, bob=np.asarray(ext.B2) - model)))
-
-    res_pm = {t: in_plane_residual(t) for t in (theta2, -theta2)}
-    theta2 = min(res_pm, key=res_pm.get)
-    report["thetaB2"] = theta2
-    residuals["b2InPlane"] = res_pm[theta2]
-    report["residuals"] = residuals
-    report["geometry"] = g.to_json_dict()
-    iso = swap_isometry(r, ops, g.chi)
-    report["fidelity"] = iso.fidelity
-    report["selfTested"] = bool(
-        max(residuals.values()) <= tol and abs(iso.fidelity - 1.0) <= root_tol(tol)
-    )
-    return report
+    return next(protocol_chain(ext.base, [ext.B2], tol=tol))
 
 
 def protocol_chain(base: GeneralRealization, added: list, tol: float = RESIDUAL_PASS):
-    """Repeatedly certify extra Bob-side observables against the base pair.
+    """Certify extra Bob-side observables one at a time against the base pair.
 
-    Yields one paired-reconstruction report per added observable; the
-    scheme extends the scenario one measurement at a time, using the same
-    base plane as the building block throughout.
+    Yields one paired-reconstruction report per added observable.  The base
+    is reconstructed, its operators derived, its residuals computed and its
+    swap isometry run at most once, each when an observable first needs it;
+    each observable then costs one reconstruction of its extended behavior
+    and one in-plane residual.
     """
+    ang_tol = root_tol(tol)
+    g = error = ops = residuals = fidelity = None
     for b2 in added:
-        yield protocol_lemma6_pair(ExtendedRealization(base=base, B2=b2), tol=tol)
+        b2 = ExtendedRealization(base=base, B2=b2).B2
+        report: dict = {"protocol": "pairedReconstruction", "selfTested": False}
+        if g is None and error is None:
+            g, error = _base_geometry(base, tol)
+        theta2, rejected = (None, error) if error else _added_angle(base, g, b2, ang_tol)
+        if rejected:
+            report["error"] = rejected
+            yield report
+            continue
+        if ops is None:
+            ops = derive_operators(base, g)
+            residuals = anticommutator_residual(base, ops, g)
+        # in-plane certification of the added observable itself; the marginal
+        # only fixes cos(theta2), so both signs are candidate angles and the
+        # state-level residual resolves the ambiguity
+        res_pm = {}
+        for t in (theta2, -theta2):
+            model = math.sin(t) * ops.XB + math.cos(t) * ops.ZB
+            res_pm[t] = float(np.linalg.norm(_apply(base.state_matrix, bob=b2 - model)))
+        report["thetaB2"] = min(res_pm, key=res_pm.get)
+        report["residuals"] = {**residuals, "b2InPlane": res_pm[report["thetaB2"]]}
+        report["geometry"] = g.to_json_dict()
+        if fidelity is None:
+            fidelity = swap_isometry(base, ops, g.chi).fidelity
+        report["fidelity"] = fidelity
+        report["selfTested"] = _self_tested(report["residuals"], fidelity, tol)
+        yield report

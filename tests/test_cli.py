@@ -445,6 +445,49 @@ def test_samples_must_be_positive(capsys):
     assert captured.err.count("error:") == 3
 
 
+README_REALIZATION = {"thetaA": [0, 1.5707963], "thetaB": [0.05, -0.7853982], "chi": 0.2617994}
+
+
+def test_tol_env_variable_reaches_selftest(monkeypatch, capsys):
+    req = json.dumps({"base": README_REALIZATION, "B2": SIGMA3_PAIRS})
+    monkeypatch.delenv("NONLOC_TOL", raising=False)
+    assert main(["selftest", "-i", req]) == 0
+    assert main(["selftest", "-i", req, "--tol", "1e-30"]) == 2
+    monkeypatch.setenv("NONLOC_TOL", "1e-30")
+    assert main(["selftest", "-i", req]) == 2
+    assert main(["selftest", "-i", req, "--tol", "1e-7"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--bogus"],
+        ["sweep", "--samples", "abc"],
+        ["sweep", "--mode", "nope"],
+        [],
+        # each subcommand takes only the flags it reads
+        ["sweep", "--samples", "2", "--format", "json"],
+        ["simulate", "-i", P_JSON, "--tol", "1e-7"],
+    ],
+    ids=["unknown-flag", "samples-not-int", "unknown-mode", "no-subcommand", "sweep-format",
+         "simulate-tol"],
+)
+def test_argument_error_is_one_error_line(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert captured.out == ""
+    assert len(err) == 1 and err[0].startswith("error:"), err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "-h"])
+    assert exc.value.code == 0
+    assert "--samples" in capsys.readouterr().out
+
+
 def test_tol_env_variable(monkeypatch, capsys):
     monkeypatch.setenv("NONLOC_TOL", "1e-7")
     assert main(["geometry", "-i", P_JSON]) == 0
@@ -474,8 +517,13 @@ SIGMA3_PAIRS = [[1, 0], [0, 0], [0, 0], [-1, 0]]
         # ... or matches the added correlators (2-4e-5 off otherwise)
         {"thetaA": [6.1558364900174345, 3.5160778236892583],
          "thetaB": [5.546237752491198, 0.20455120872298369], "chi": 0.49586627981324366},
+        # chi = pi/4 with thetaB_0 within 1.3e-6 of 0: of the four sign
+        # assignments of the maximally entangled path, the first that fits
+        # is 6.7e-7 off in a1b2, and only the best-fitting one certifies
+        {"thetaA": [0, 3.402101183476623],
+         "thetaB": [-1.2980119315177805e-06, 2.6558221377616955], "chi": 0.7853981633974483},
     ],
-    ids=["angle-near-pi", "boundary-unsaturated", "added-correlators-off"],
+    ids=["angle-near-pi", "boundary-unsaturated", "added-correlators-off", "max-entangled"],
 )
 def test_selftest_resolves_barely_resolved_signs(capsys, base):
     req = json.dumps({"base": base, "B2": SIGMA3_PAIRS, "protocol": "addedZ"})
