@@ -82,6 +82,14 @@ def _as_realization(obj):
     raise CliError(f"expected a realization, got {type(obj).__name__}")
 
 
+def _read_behavior(arg: str):
+    """The input object, with a realization replaced by its correlator behavior."""
+    obj = _parse_object(_read_input(arg))
+    if isinstance(obj, (realization.TwoQubitRealization, realization.GeneralRealization)):
+        return realization.simulate_cbehavior(obj)
+    return obj
+
+
 def _write(out_path: str | None, text: str):
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
@@ -107,9 +115,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_check(args) -> int:
-    obj = _parse_object(_read_input(args.input))
-    if isinstance(obj, (realization.TwoQubitRealization, realization.GeneralRealization)):
-        obj = realization.simulate_cbehavior(_as_realization(obj))
+    obj = _read_behavior(args.input)
     if isinstance(obj, behavior.CBehavior):
         try:
             verdict = criteria.extremal_criterion(obj, tol=args.tol)
@@ -134,9 +140,7 @@ def _geometry_report(g: geometry.GeometryParams) -> dict:
 
 
 def cmd_geometry(args) -> int:
-    obj = _parse_object(_read_input(args.input))
-    if isinstance(obj, (realization.TwoQubitRealization, realization.GeneralRealization)):
-        obj = realization.simulate_cbehavior(_as_realization(obj))
+    obj = _read_behavior(args.input)
     if not isinstance(obj, behavior.CBehavior):
         raise CliError("geometry expects a correlator behavior or a realization")
     try:
@@ -149,9 +153,7 @@ def cmd_geometry(args) -> int:
 
 
 def cmd_qbell(args) -> int:
-    obj = _parse_object(_read_input(args.input))
-    if isinstance(obj, (realization.TwoQubitRealization, realization.GeneralRealization)):
-        obj = realization.simulate_cbehavior(_as_realization(obj))
+    obj = _read_behavior(args.input)
     if isinstance(obj, behavior.CBehavior):
         try:
             g = geometry.reconstruct(obj, tol=args.tol)
@@ -163,7 +165,9 @@ def cmd_qbell(args) -> int:
         raise CliError("qbell expects a geometry, behavior, or realization")
     try:
         ineqB, ineqA, _ = qbell.construct_pair(g)
-        d = realization.simulate_dbehavior(realization.promote(geometry.two_qubit_of(g)))
+        r = geometry.two_qubit_of(g)
+        k = realization.two_qubit_behaviors(r.thetaA, r.thetaB, r.chi)
+        d = behavior.DBehavior(deltaB=k.deltaB, deltaA=k.deltaA, c=k.c)
         uniq = qbell.uniqueness_check(g)
     except qbell.DegenerateGeometryError as exc:
         raise CliError(str(exc)) from exc

@@ -17,16 +17,16 @@ import numpy as np
 from .behavior import SIGN_PATTERNS, DBehavior
 from .geometry import GeometryParams, d_values
 from .jsonio import Record, freeze
-from .realization import simulate_dbehavior
+from .realization import simulate_cbehavior, simulate_dbehavior, two_qubit_behaviors
 from .tolerances import (
     DEFAULT_TOL,
     DEGENERATE_SIN,
     ORIENTATION_SLACK,
     RANK_TOL,
     RATIO_DENOMINATOR_MIN,
+    ROOT_RESIDUAL,
     ROOT_SEPARATION,
     ROUNDING_ZERO,
-    UNIQUENESS_RESIDUAL,
     root_tol,
 )
 
@@ -168,30 +168,18 @@ def chain_slacks(
     }
 
 
-def verify_cryptographic_chain(
-    g: GeometryParams, r, tol: float = DEFAULT_TOL, require_match: bool = True
-) -> dict:
+def verify_cryptographic_chain(g: GeometryParams, r, tol: float = DEFAULT_TOL) -> dict:
     """Evaluate the bound chain of g's pair on a realization's behavior.
 
-    With ``require_match`` the realization's behavior must reproduce the
-    geometry's own behavior, in which case both slacks vanish.
+    The realization must reproduce the geometry's behaviors; both slacks then vanish.
     """
-    from .realization import promote, simulate_cbehavior  # local to avoid cycles in callers
-
     ineqB, ineqA, (coeffB, coeffA) = construct_pair(g)
+    ref = two_qubit_behaviors(g.thetaA, g.thetaB, g.chi)
+    got = simulate_cbehavior(r)
+    mismatch = max(np.abs(getattr(ref, f) - getattr(got, f)).max() for f in ("cA", "cB", "c"))
+    if mismatch > root_tol(tol):
+        raise ValueError(f"realization behavior differs from geometry by {mismatch}")
     d = simulate_dbehavior(r)
-    if require_match:
-        from .geometry import two_qubit_of
-
-        ref = simulate_cbehavior(promote(two_qubit_of(g)))
-        got = simulate_cbehavior(r)
-        mismatch = max(
-            np.abs(ref.cA - got.cA).max(),
-            np.abs(ref.cB - got.cB).max(),
-            np.abs(ref.c - got.c).max(),
-        )
-        if mismatch > root_tol(tol):
-            raise ValueError(f"realization behavior differs from geometry by {mismatch}")
     return {
         "B": chain_slacks(ineqB, coeffB, d),
         "A": chain_slacks(ineqA, coeffA, d),
@@ -250,20 +238,20 @@ def _same_root(a, b) -> bool:
     return abs(a[0] - b[0]) <= ROOT_SEPARATION and abs(a[1] - b[1]) <= ROOT_SEPARATION
 
 
-def uniqueness_check(g: GeometryParams, tol: float = UNIQUENESS_RESIDUAL) -> UniquenessReport:
+def uniqueness_check(g: GeometryParams) -> UniquenessReport:
     """Decide whether g's hyperplane pair admits only the trivial solution.
 
     The four equations equate side-A and side-B squared ratios,
     (pA_k + qA_k tA)^2 = (pB_k + qB_k tB)^2, in the angle cosines tA and tB.
     Each holds exactly when pA_k + qA_k tA = sigma_k (pB_k + qB_k tB) for a
-    sign sigma_k, so the solutions are those of 16 linear 4x2 systems, one
-    per sign pattern, solved together by one batched SVD.  A rank-2 system
-    contributes its least-squares point, a rank-1 system the endpoints of
-    its solution line clipped to [-1, 1]^2.  The candidates, clipped to the
-    square, whose squared residual is at most ``tol`` are the solutions,
-    listed as (tA, tB, residual) with the reference cosines first; the
-    geometry is unique when every solution lies within ``ROOT_SEPARATION``
-    of them.
+    sign sigma_k, so the solutions are those of 16 linear 4x2 systems m t = r,
+    one per sign pattern, solved together by one batched SVD.  A rank-2
+    system gives its least-squares point, a rank-1 system the ends of its
+    solution line clipped to [-1, 1]^2.  A candidate, clipped to the square,
+    is a solution when its own system holds to the row-relative residual
+    max_k |m_k.t - r_k| / (|m_k| |t| + |r_k|) <= ``ROOT_RESIDUAL``.  Solutions
+    are listed as (tA, tB, residual), the reference cosines first; the
+    geometry is unique when all lie within ``ROOT_SEPARATION`` of them.
     """
     _, _, (coeffB, coeffA) = construct_pair(g)
     pA, qA = _ratio_coefficients(coeffA)
@@ -279,18 +267,24 @@ def uniqueness_check(g: GeometryParams, tol: float = UNIQUENESS_RESIDUAL) -> Uni
     full_rank = sv[:, 1] > RANK_TOL * sv[:, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         points = np.einsum("nij,ni->nj", vt, proj / sv)
-    candidates = [ref]
+    systems, candidates = [0], [ref]
     for n in range(len(SIGN_PATTERNS)):
         if full_rank[n]:
-            candidates.append(np.clip(points[n], -1.0, 1.0))
+            ends = [np.clip(points[n], -1.0, 1.0)]
         else:
-            candidates.extend(_clip_line(vt[n, 0] * proj[n, 0] / sv[n, 0], vt[n, 1]))
+            ends = _clip_line(vt[n, 0] * proj[n, 0] / sv[n, 0], vt[n, 1])
+        systems += [n] * len(ends)
+        candidates += ends
 
     ts = np.array(candidates)
-    r2 = np.sum((_ratio_values(coeffA, ts[:, 0]) - _ratio_values(coeffB, ts[:, 1])) ** 2, axis=0)
+    ms, rs = m[systems], rhs[systems]
+    scale = np.linalg.norm(ms, axis=-1) * np.linalg.norm(ts, axis=-1)[:, None] + np.abs(rs)
+    miss = np.abs(np.einsum("nki,ni->nk", ms, ts) - rs)
+    # a zero scale (t = 0, r_k = 0) leaves the exact miss 0
+    residual = np.divide(miss, scale, out=miss, where=scale > 0.0).max(axis=-1)
     solutions: list[tuple[float, float, float]] = []
-    for (ta, tb), res in zip(ts, r2):
-        if res <= tol and not any(_same_root((ta, tb), s) for s in solutions):
+    for (ta, tb), res in zip(ts, residual):
+        if res <= ROOT_RESIDUAL and not any(_same_root((ta, tb), s) for s in solutions):
             solutions.append((float(ta), float(tb), float(res)))
     trivial_only = all(_same_root(s, ref) for s in solutions)
     return UniquenessReport(trivialOnly=trivial_only, solutions=tuple(solutions))

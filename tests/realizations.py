@@ -1,0 +1,37 @@
+"""Realizations and seeded draws shared by the test modules."""
+
+import math
+
+from bellgeo.geometry import projection_angles, sign_condition_ok
+from bellgeo.qbell import DegenerateGeometryError, construct_pair
+from bellgeo.realization import TwoQubitRealization, random_two_qubit
+
+
+def reference_realization(eps=1e-9):
+    """The paper's reference point P, with Bob's first angle at eps."""
+    return TwoQubitRealization(
+        thetaA=[0.0, math.pi / 2], thetaB=[eps, -math.pi / 4], chi=math.pi / 12
+    )
+
+
+def tsirelson_realization():
+    return TwoQubitRealization(
+        thetaA=[math.pi / 4, -math.pi / 4], thetaB=[0.0, math.pi / 2], chi=math.pi / 4
+    )
+
+
+def random_conforming(rng):
+    """The geometry of a random partially entangled realization, chi in
+    [0.05, pi/4 - 0.05], whose planar picture is orientable and admits the
+    hyperplane pair."""
+    while True:
+        r = random_two_qubit(rng)
+        if not 0.05 <= r.chi <= math.pi / 4 - 0.05:
+            continue
+        g = projection_angles(r)
+        if sign_condition_ok(g):
+            try:
+                construct_pair(g)
+            except DegenerateGeometryError:
+                continue
+            return g

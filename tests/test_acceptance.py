@@ -38,6 +38,7 @@ from bellgeo.realization import (
     xz_observable,
 )
 from bellgeo.selftest import ExtendedRealization, derive_operators, protocol_lemma6_pair, protocol_zb, swap_isometry, anticommutator_residual
+from realizations import random_conforming, reference_realization
 
 
 def _report(n, ok, detail):
@@ -48,26 +49,6 @@ def _report(n, ok, detail):
 def tsirelson_behavior():
     c = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
     return CBehavior(cA=[0.0, 0.0], cB=[0.0, 0.0], c=c)
-
-
-def reference_realization(eps):
-    return TwoQubitRealization(
-        thetaA=[0.0, math.pi / 2], thetaB=[eps, -math.pi / 4], chi=math.pi / 12
-    )
-
-
-def random_conforming(rng):
-    while True:
-        r = random_two_qubit(rng)
-        if not 0.05 <= r.chi <= math.pi / 4 - 0.05:
-            continue
-        g = projection_angles(r)
-        if sign_condition_ok(g):
-            try:
-                construct_pair(g)
-            except DegenerateGeometryError:
-                continue
-            return g
 
 
 def test_acceptance_1_counterexample():

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -27,34 +28,9 @@ from bellgeo.realization import (
     random_two_qubit,
     simulate_dbehavior,
 )
+from realizations import random_conforming, reference_realization, tsirelson_realization
 
 RNG = np.random.default_rng(20240815)
-
-
-def reference_realization(eps=1e-9):
-    return TwoQubitRealization(
-        thetaA=[0.0, math.pi / 2], thetaB=[eps, -math.pi / 4], chi=math.pi / 12
-    )
-
-
-def tsirelson_realization():
-    return TwoQubitRealization(
-        thetaA=[math.pi / 4, -math.pi / 4], thetaB=[0.0, math.pi / 2], chi=math.pi / 4
-    )
-
-
-def random_conforming(rng):
-    while True:
-        r = random_two_qubit(rng)
-        if not 0.05 <= r.chi <= math.pi / 4 - 0.05:
-            continue
-        g = projection_angles(r)
-        if sign_condition_ok(g):
-            try:
-                construct_pair(g)
-            except DegenerateGeometryError:
-                continue
-            return g
 
 
 def test_reference_point_saturates_both_sides():
@@ -251,18 +227,49 @@ def test_uniqueness_finds_every_grid_root():
             ), f"root ({ta}, {tb}) missing from {report.solutions}"
 
 
-def test_uniqueness_ill_conditioned_reference_has_no_second_root():
+ILL_CONDITIONED = {
     # the system's smallest Jacobian singular value is about 0.03 here; a
     # local search stopped short of the reference root and reported a
     # spurious second one
-    r = TwoQubitRealization(
-        thetaA=[4.2061373426717035, 1.724919968560045],
-        thetaB=[5.25820710404598, 1.45865376210962],
-        chi=0.7113538893957978,
-    )
+    "shallow-valley": (
+        (4.2061373426717035, 1.724919968560045), (5.25820710404598, 1.45865376210962),
+        0.7113538893957978,
+    ),
+    # benchmark certify candidates, by seed: a residual of the ratios
+    # normalized at the reference cosines passed points within 1e-5 of them
+    # that solve no sign system as second roots
+    "seed-904": (
+        (5.168133156021628, 0.19642927668002796), (2.833322467363358, 0.48060962507082067),
+        0.6114575748301248,
+    ),
+    "seed-1006": (
+        (0.06182358147960837, 1.5215125875251092), (3.048933545000224, 3.5673078765437056),
+        0.27977249860397546,
+    ),
+    "seed-1015": (
+        (0.0803976510077037, 1.531298379364234), (0.7774684355351601, 3.093882145438255),
+        0.48784537798275185,
+    ),
+    "seed-1018": (
+        (3.2017632377839744, 4.029548155517673), (3.3633789412102186, 5.58038570052085),
+        0.6445769584622997,
+    ),
+    "seed-1019": (
+        (4.98775923808944, 3.087260798038875), (5.858002631451818, 4.658841300435234),
+        0.706440310338344,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ILL_CONDITIONED)
+def test_uniqueness_ill_conditioned_reference_has_no_second_root(name, capsys):
+    thetaA, thetaB, chi = ILL_CONDITIONED[name]
+    r = TwoQubitRealization(thetaA=thetaA, thetaB=thetaB, chi=chi)
     report = uniqueness_check(projection_angles(r))
     assert report.trivialOnly
     assert len(report.solutions) == 1
+    assert main(["check", "-i", r.to_json()]) == 0
+    assert json.loads(capsys.readouterr().out)["uniquenessTrivial"] is True
     assert main(["qbell", "-i", r.to_json()]) == 0
 
 

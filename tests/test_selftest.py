@@ -158,7 +158,7 @@ def test_protocol_zb_accepts_aligned_added_observable():
 def test_protocol_zb_accepts_every_conforming_draw():
     # 15 of these draws were rejected when the branch patterns were taken in
     # a fixed order instead of tightest first
-    from test_acceptance import random_conforming
+    from realizations import random_conforming
 
     rng = np.random.default_rng(7)
     rejected = []
