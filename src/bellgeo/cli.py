@@ -209,79 +209,63 @@ def cmd_selftest(args) -> int:
     return PASS if report["selfTested"] else FAIL
 
 
-def _pq_realizations(eps: float):
-    p = realization.TwoQubitRealization(
-        thetaA=(0.0, math.pi / 2), thetaB=(eps, -math.pi / 4), chi=math.pi / 12
-    )
-    q = realization.TwoQubitRealization(
-        thetaA=(0.0, math.pi / 2), thetaB=(eps, -math.pi / 4), chi=math.pi / 8
-    )
-    return p, q
+def _pq_params(eps: float):
+    """thetaA, thetaB and chi of P (chi = pi/12) and Q (chi = pi/8), stacked."""
+    thetaA = np.array([[0.0, math.pi / 2]] * 2)
+    thetaB = np.array([[eps, -math.pi / 4]] * 2)
+    return thetaA, thetaB, np.array([math.pi / 12, math.pi / 8])
 
 
 def _chsh(b: behavior.CBehavior) -> float:
     return float(b.c[0, 0] + b.c[0, 1] + b.c[1, 0] - b.c[1, 1])
 
 
-#: Points of the scan whose first feasible one brackets a failing lower end:
-#: 64 equal steps of [C_11^2, 1], each the range divided exactly by 2^6.
-SCAN_POINTS = 65
-#: Halvings per bisected end: 60 halvings of an interval of length <= 1 leave
-#: at most 2^-60, below one ulp of 1.
-HALVINGS = 60
-
-
 def _boundary_intervals(d_ref: behavior.DBehavior, grid: np.ndarray) -> dict:
     """Feasible range of the varied bias coordinate on every C_11 curve.
 
     A curve of section B (A) sets C_11 of ``d_ref`` to a grid value and
-    varies delta^B_1 (delta^A_1) over [C_11^2, 1]; a point is feasible where
-    the scaled-correlator gap of that side is >= 0.  A curve infeasible at
-    both ends has no range.  A failing lower end is bisected against the
-    first feasible point of a SCAN_POINTS scan, a failing upper end against
-    the lower end, HALVINGS times each.  All curves of both sections are
-    bisected in lockstep, one batched gap evaluation per step.  Returns, per
-    section, the rows (c11, lo, hi) in grid order.
+    varies delta = delta^B_1 (delta^A_1) over [C_11^2, 1]; a point is
+    feasible where the scaled-correlator gap of that side is >= 0.  A curve
+    has a range if one batched gap evaluation finds either end feasible.
+
+    The range is [lo, 1], lo in closed form.  Section B scales row 0 of C
+    to a fixed (a, b) and row 1, (u, v), to (u, v) / sqrt(delta); section A
+    does so with the columns.  With kappa = sqrt(1 - a^2) sqrt(1 - b^2) -
+    s ab for s = +1 and -1, the gap is >= 0 exactly where delta >= max(u^2,
+    v^2) and delta >= delta_s = (u^2 + v^2 + 2 s kappa uv) / (1 - kappa^2)
+    for each s with kappa delta_s + s uv <= 0.  A root failing that test is
+    the one squaring brings in, and |kappa| = 1 binds nothing.  The scaled
+    row moves along a ray from 0 in a convex set that holds 0, so no upper
+    end can fail.  Returns, per section, the rows (c11, lo, 1.0) in grid
+    order.
     """
     n = len(grid)
-    c11 = np.concatenate([grid, grid])
-    on_b = np.arange(2 * n) < n
-
-    def gap(curve: np.ndarray, delta: np.ndarray) -> np.ndarray:
-        b = on_b[curve]
-        deltaB = np.broadcast_to(d_ref.deltaB, delta.shape + (2,)).copy()
-        deltaA = np.broadcast_to(d_ref.deltaA, delta.shape + (2,)).copy()
-        deltaB[..., 1] = np.where(b, delta, d_ref.deltaB[1])
-        deltaA[..., 1] = np.where(b, d_ref.deltaA[1], delta)
-        c = np.broadcast_to(d_ref.c, delta.shape + (2, 2)).copy()
-        c[..., 1, 1] = c11[curve]
-        gaps = criteria.crypt_gaps_batch(deltaB, deltaA, c, tol=BOUNDARY_TOL)
-        return np.where(b, gaps["tlmB"], gaps["tlmA"])
-
-    curves = np.arange(2 * n)
-    lo, hi = c11 * c11, np.ones(2 * n)
-    lo_ok, hi_ok = np.split(gap(np.tile(curves, 2), np.concatenate([lo, hi])) >= 0.0, 2)
-    has_range = lo_ok | hi_ok
-    # a failing lower end and the first feasible scan point bracket the
-    # bound; the scan ends at the upper end, which is feasible
-    low = np.flatnonzero(~lo_ok & hi_ok)
-    scan = np.linspace(lo[low], 1.0, SCAN_POINTS)
-    feasible = gap(np.broadcast_to(low, scan.shape), scan) >= 0.0
-    first = scan[feasible.argmax(axis=0), np.arange(len(low))]
-    high = np.flatnonzero(lo_ok & ~hi_ok)
-    curve = np.concatenate([low, high])
-    good = np.concatenate([first, lo[high]])
-    bad = np.concatenate([lo[low], hi[high]])
-    for _ in range(HALVINGS):
-        mid = 0.5 * (good + bad)
-        ok = gap(curve, mid) >= 0.0
-        good, bad = np.where(ok, mid, good), np.where(ok, bad, mid)
-    lo[low], hi[high] = good[: len(low)], good[len(low):]
-    rows = {}
-    for side, part in (("B", slice(0, n)), ("A", slice(n, 2 * n))):
-        keep = has_range[part]
-        rows[side] = list(zip(grid[keep], lo[part][keep], hi[part][keep]))
-    return rows
+    c = np.broadcast_to(d_ref.c, (n, 2, 2)).copy()
+    c[:, 1, 1] = grid
+    # each side's gap reads only its own biases, so one evaluation at both
+    # ends of every curve serves both sections
+    ends = np.stack([grid * grid, np.ones(n)])
+    deltaB = np.broadcast_to(d_ref.deltaB, ends.shape + (2,)).copy()
+    deltaA = np.broadcast_to(d_ref.deltaA, ends.shape + (2,)).copy()
+    deltaB[..., 1] = deltaA[..., 1] = ends
+    c_ends = np.broadcast_to(c, ends.shape + (2, 2))
+    gaps = criteria.crypt_gaps_batch(deltaB, deltaA, c_ends, tol=BOUNDARY_TOL)
+    keep = np.concatenate([gaps["tlmB"], gaps["tlmA"]], axis=-1).max(axis=0) >= 0.0
+    # section A's columns are the rows of the transpose
+    rows = np.concatenate([c, c.swapaxes(-1, -2)])
+    scale = np.sqrt(np.repeat([d_ref.deltaB[0], d_ref.deltaA[0]], n))
+    a, b = np.clip(rows[:, 0] / scale[:, None], -1.0, 1.0).T
+    u, v = rows[:, 1].T
+    s = np.array([[1.0], [-1.0]])
+    kappa = np.sqrt((1.0 - a * a) * (1.0 - b * b)) - s * a * b
+    num, den = u * u + v * v + 2.0 * s * kappa * u * v, 1.0 - kappa * kappa
+    root = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+    root = np.where((den > 0.0) & (kappa * root + s * u * v <= 0.0), root, 0.0)
+    lo = np.maximum(np.maximum(u * u, v * v), root.max(axis=0))
+    return {
+        side: [(x, y, 1.0) for x, y in zip(grid[k], lo_side[k])]
+        for side, k, lo_side in zip("BA", keep.reshape(2, n), lo.reshape(2, n))
+    }
 
 
 def _check_samples(args):
@@ -294,14 +278,14 @@ def cmd_counterexample(args) -> int:
     eps = args.epsilon
     if not 0.0 < eps < math.pi / 40:
         raise CliError(f"epsilon={eps} outside (0, pi/40)")
-    p_real, q_real = _pq_realizations(eps)
-    p_c = realization.simulate_cbehavior(p_real)
-    q_c = realization.simulate_cbehavior(q_real)
+    k = realization.two_qubit_behaviors(*_pq_params(eps))
+    p_c, q_c = (behavior.CBehavior(cA=k.cA[i], cB=k.cB[i], c=k.c[i]) for i in range(2))
+    p_d, q_d = (
+        behavior.DBehavior(deltaB=k.deltaB[i], deltaA=k.deltaA[i], c=k.c[i]) for i in range(2)
+    )
     lam = (2.0 - _chsh(p_c)) / (2.0 - _chsh(q_c))
     w = [1.0 / (1.0 - lam), -lam / (1.0 - lam)]
     l_c = behavior.mix([p_c, q_c], w)
-    p_d = realization.simulate_dbehavior(p_real)
-    q_d = realization.simulate_dbehavior(q_real)
     l_d = behavior.mix([p_d, q_d], w)
     local = behavior.is_local(l_c, tol=args.tol)
     gaps = criteria.crypt_gaps(l_d, tol=args.tol)

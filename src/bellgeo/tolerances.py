@@ -15,10 +15,10 @@ import math
 #: leaves six orders of magnitude for rounding along the pipeline.
 DEFAULT_TOL = 1e-9
 
-#: Tolerance of the gaps that ``counterexample --format csv`` bisects: none.
-#: The boundary curves trace the exact feasible edge, where a scaled
-#: correlator reaches 1.  A tolerance e would admit scaled correlators up to
-#: 1 + sqrt(e) and move a printed end about sqrt(e) into the infeasible side.
+#: Tolerance of the gaps that decide which ``counterexample --format csv``
+#: curves get a row: none.  Their closed-form lower ends are the exact
+#: feasible edge.  A tolerance e would admit scaled correlators up to
+#: 1 + sqrt(e) at a curve's ends, and with them rows whose range is empty.
 BOUNDARY_TOL = 0.0
 
 #: Residual below which a self-testing operator identity or an

@@ -3,14 +3,16 @@ import math
 
 import contextlib
 import io
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from bellgeo import criteria
+from bellgeo import criteria, realization
 from bellgeo.behavior import DBehavior, chsh_values
-from bellgeo.cli import _boundary_intervals, _pq_realizations, _sweep_columns, main
+from bellgeo.cli import _boundary_intervals, _pq_params, _sweep_columns, main
 from bellgeo.criteria import crypt_gaps, scaled_correlators
 from bellgeo.geometry import GeometryParams, projection_angles, symmetry_equivalent
 from bellgeo.realization import (
@@ -201,19 +203,30 @@ def test_counterexample_csv_sections(tmp_path):
     assert {"boundary", "P", "Q", "L"} <= labels
 
 
-def _scalar_boundary_interval(d_ref: DBehavior, side: str, c11: float):
-    """A scalar bisection, one ``crypt_gaps`` call per point, under the same
-    strict rule (no slack on the scaled correlators): the reference the
-    lockstep rows must equal exactly."""
+def _p_dbehavior(eps: float) -> DBehavior:
+    """P's guessing-bias point, as ``counterexample`` builds it."""
+    k = realization.two_qubit_behaviors(*_pq_params(eps))
+    return DBehavior(deltaB=k.deltaB[0], deltaA=k.deltaA[0], c=k.c[0])
+
+
+def _curve_gap(d_ref: DBehavior, side: str, c11: float, delta: float) -> float:
+    """Scalar ``crypt_gaps`` of one side under the strict rule (no slack on
+    the scaled correlators), at ``d_ref`` with C_11 and that side's delta_1
+    replaced."""
     c = np.array(d_ref.c)
     c[1, 1] = c11
+    deltas = {"B": d_ref.deltaB.copy(), "A": d_ref.deltaA.copy()}
+    deltas[side][1] = delta
+    d = DBehavior(deltaB=deltas["B"], deltaA=deltas["A"], c=c)
+    return crypt_gaps(d, tol=BOUNDARY_TOL)["tlm" + side]
+
+
+def _scalar_boundary_interval(d_ref: DBehavior, side: str, c11: float):
+    """A scalar bisection, one ``crypt_gaps`` call per point: the reference
+    the closed-form rows must meet within its resolution."""
 
     def gap(delta: float) -> float:
-        if side == "B":
-            d = DBehavior(deltaB=(d_ref.deltaB[0], delta), deltaA=d_ref.deltaA, c=c)
-        else:
-            d = DBehavior(deltaB=d_ref.deltaB, deltaA=(d_ref.deltaA[0], delta), c=c)
-        return crypt_gaps(d, tol=BOUNDARY_TOL)["tlm" + side]
+        return _curve_gap(d_ref, side, c11, delta)
 
     lo = c11 * c11
     if gap(lo) < 0.0 and gap(1.0) < 0.0:
@@ -256,31 +269,20 @@ def _scalar_boundary_rows(d_ref: DBehavior, grid: np.ndarray) -> dict:
     return rows
 
 
-@pytest.mark.parametrize("eps", [1e-4, 0.01, 0.05, math.pi / 40 - 1e-4])
-def test_counterexample_boundary_rows(capsys, eps):
-    samples = 61
-    assert main(
-        ["counterexample", "--epsilon", repr(eps), "--format", "csv", "--samples", str(samples)]
-    ) == 0
-    lines = capsys.readouterr().out.splitlines()
+def _check_boundary_csv(out: str, d_ref: DBehavior, samples: int) -> dict:
+    """Rows of ``_boundary_intervals`` at ``d_ref``, after checking that the
+    CSV prints them and that each end meets the gap contract."""
+    lines = out.splitlines()
     assert lines[0] == "section,label,c11,deltaMin,deltaMax"
-    grid = np.linspace(-1.0, 0.2, samples)
-    p_d = simulate_dbehavior(_pq_realizations(eps)[0])
-    rows = _boundary_intervals(p_d, grid)
-    assert rows == _scalar_boundary_rows(p_d, grid)
+    rows = _boundary_intervals(d_ref, np.linspace(-1.0, 0.2, samples))
     body = iter(lines[1:])
     for side in ("B", "A"):
         # this section's boundary rows in grid order, then its own markers
         for c11, lo, hi in rows[side]:
             assert next(body) == f"{side},boundary,{c11:.10g},{lo:.10g},{hi:.10g}"
-            c = np.array(p_d.c)
-            c[1, 1] = c11
 
             def gap(delta):
-                deltas = {"B": p_d.deltaB.copy(), "A": p_d.deltaA.copy()}
-                deltas[side][1] = delta
-                d = DBehavior(deltaB=deltas["B"], deltaA=deltas["A"], c=c)
-                return crypt_gaps(d, tol=BOUNDARY_TOL)["tlm" + side]
+                return _curve_gap(d_ref, side, c11, delta)
 
             # feasible just inside each end, infeasible just outside it
             # unless the end is the cap C_11^2 or 1
@@ -291,6 +293,30 @@ def test_counterexample_boundary_rows(capsys, eps):
                 assert gap(min(hi + 1e-6, 1.0)) < 0.0
         assert [next(body).split(",")[1] for _ in range(3)] == ["P", "Q", "L"]
     assert next(body, None) is None
+    return rows
+
+
+#: How far the kernel's own edge, where its gap changes sign, may lie from
+#: the closed-form lower end: the two round differently, by up to 3.5 ulps of
+#: 1 over 800 seeded epsilon at --samples 6, 61 and 200.
+EDGE_ROUNDING = 8 * 2.0**-52
+#: The scalar oracle brackets the kernel's edge within 2^-60.
+ORACLE_RESOLUTION = 2.0**-60 + EDGE_ROUNDING
+
+
+@pytest.mark.parametrize("eps", [1e-4, 0.01, 0.05, math.pi / 40 - 1e-4])
+def test_counterexample_boundary_rows(capsys, eps):
+    samples = 61
+    assert main(
+        ["counterexample", "--epsilon", repr(eps), "--format", "csv", "--samples", str(samples)]
+    ) == 0
+    p_d = _p_dbehavior(eps)
+    rows = _check_boundary_csv(capsys.readouterr().out, p_d, samples)
+    ref = _scalar_boundary_rows(p_d, np.linspace(-1.0, 0.2, samples))
+    for side in ("B", "A"):
+        assert [r[0] for r in rows[side]] == [r[0] for r in ref[side]]
+        for (_, lo, hi), (_, lo_ref, hi_ref) in zip(rows[side], ref[side]):
+            assert abs(lo - lo_ref) <= ORACLE_RESOLUTION and hi == hi_ref
 
 
 @pytest.mark.parametrize("eps", [1e-4, 0.01])
@@ -304,28 +330,133 @@ def test_counterexample_lower_end_is_exact(capsys, eps):
     assert abs(float(row[3]) - 0.5) <= 1e-9
 
 
-def test_boundary_intervals_every_branch(monkeypatch):
-    # a stand-in gap, feasible on [0.25, 1.2 + C_11] in section B and on
-    # [0.1, 2] in section A, puts curves in every case of the rule: both ends
-    # feasible, only the upper one, only the lower one, and neither
-    def gaps(deltaB, deltaA, c, tol=1e-9):
-        c11 = c[..., 1, 1]
-        zero = np.zeros_like(c11)
-        return {
-            "capB": zero,
-            "tlmB": np.minimum(deltaB[..., 1] - 0.25, 1.2 + c11 - deltaB[..., 1]),
-            "capA": zero,
-            "tlmA": np.minimum(deltaA[..., 1] - 0.1, 2.0 - deltaA[..., 1]),
-        }
+@pytest.mark.parametrize("eps", [1e-12, 1e-6])
+def test_counterexample_small_epsilon_lower_end_is_exact(capsys, eps):
+    # section B at C_11 = 0: v = 0, so only the kappa_+ root binds and
+    # lo = C_10^2 / (1 - kappa_+^2), about eps^2 / 2; a bisection of 60
+    # halvings of a 2^-6 scan step stops at 2^-66 = 1.36e-20
+    assert main(["counterexample", "--epsilon", repr(eps), "--format", "csv", "--samples", "61"]) == 0
+    p_d = _p_dbehavior(eps)
+    rows = _check_boundary_csv(capsys.readouterr().out, p_d, 61)
+    (lo,) = [lo for c11, lo, _ in rows["B"] if c11 == 0.0]
+    a, b = p_d.c[0] / math.sqrt(p_d.deltaB[0])
+    kappa = math.sqrt((1.0 - a * a) * (1.0 - b * b)) - a * b
+    assert lo == pytest.approx(p_d.c[1, 0] ** 2 / (1.0 - kappa * kappa), rel=1e-12, abs=0.0)
 
-    monkeypatch.setattr(criteria, "crypt_gaps_batch", gaps)
-    grid = np.linspace(-1.0, 0.2, 61)
-    p_d = simulate_dbehavior(_pq_realizations(0.01)[0])
-    rows = _boundary_intervals(p_d, grid)
-    assert rows == _scalar_boundary_rows(p_d, grid)
-    cases = {(lo == c11 * c11, hi == 1.0) for c11, lo, hi in rows["B"] + rows["A"]}
-    assert cases == {(True, True), (True, False), (False, True)}
-    assert len(rows["B"]) < len(grid)
+
+@pytest.mark.parametrize("samples", [1, 2, 61])
+@pytest.mark.parametrize("eps", [5e-324, 1e-300, math.pi / 40 - 1e-15])
+def test_counterexample_csv_at_epsilon_edges(capsys, eps, samples):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(
+            ["counterexample", "--epsilon", repr(eps), "--format", "csv", "--samples", str(samples)]
+        )
+    assert code == 0
+    _check_boundary_csv(capsys.readouterr().out, _p_dbehavior(eps), samples)
+
+
+def _curve_gaps(d_ref: DBehavior, c11: np.ndarray, delta: np.ndarray) -> tuple:
+    """Kernel gaps (B, A) under the strict rule at ``d_ref`` with C_11 and
+    both delta_1 replaced by stacked values: each side's gap reads only its
+    own biases, so one call scans the curves of both sections."""
+    c11, delta = np.broadcast_arrays(c11, delta)
+    deltaB = np.broadcast_to(d_ref.deltaB, delta.shape + (2,)).copy()
+    deltaA = np.broadcast_to(d_ref.deltaA, delta.shape + (2,)).copy()
+    deltaB[..., 1] = deltaA[..., 1] = delta
+    c = np.broadcast_to(d_ref.c, delta.shape + (2, 2)).copy()
+    c[..., 1, 1] = c11
+    gaps = criteria.crypt_gaps_batch(deltaB, deltaA, c, tol=BOUNDARY_TOL)
+    return gaps["tlmB"], gaps["tlmA"]
+
+
+def test_boundary_range_is_one_interval_reaching_one():
+    # the claim behind the closed-form lower end and the fixed upper end 1:
+    # on a dense kernel scan of every curve, the feasible set is one interval
+    # that reaches delta = 1, and it starts within one scan step of the
+    # closed-form lower end
+    grid = np.linspace(-1.0, 0.2, 31)
+    deltas = np.linspace(grid * grid, 1.0, 4097)
+    step = deltas[1] - deltas[0]
+    for eps in np.random.default_rng(18).uniform(0.0, math.pi / 40, 20):
+        d_ref = _p_dbehavior(float(eps))
+        rows = _boundary_intervals(d_ref, grid)
+        for side, gaps in zip(("B", "A"), _curve_gaps(d_ref, grid, deltas)):
+            feasible = gaps >= 0.0
+            lower = {c11: lo for c11, lo, hi in rows[side] if hi == 1.0}
+            assert len(lower) == len(rows[side]) == feasible.any(axis=0).sum()
+            for j in np.flatnonzero(feasible.any(axis=0)):
+                first = feasible[:, j].argmax()
+                assert feasible[first:, j].all()
+                lo, edge = lower[grid[j]], deltas[first, j]
+                if first == 0:
+                    assert lo == grid[j] ** 2
+                assert edge - step[j] - EDGE_ROUNDING <= lo <= edge + EDGE_ROUNDING
+
+
+def test_counterexample_csv_calls_the_gap_kernel_at_most_twice(monkeypatch, capsys):
+    # one batched call for both ends of every curve, one for the point L
+    calls = []
+    kernel = criteria.crypt_gaps_batch
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(criteria, "crypt_gaps_batch", counted)
+    assert main(["counterexample", "--format", "csv", "--samples", "61"]) == 0
+    assert len(calls) <= 2
+
+
+def _matrix_path_behaviors(thetaA, thetaB, chi):
+    """``two_qubit_behaviors`` fields of ``counterexample`` from the matrix
+    path: the state, the observables and the eigendecompositions."""
+    reals = [TwoQubitRealization(thetaA=a, thetaB=b, chi=x) for a, b, x in zip(thetaA, thetaB, chi)]
+    cb = [simulate_cbehavior(r) for r in reals]
+    db = [simulate_dbehavior(r) for r in reals]
+    return SimpleNamespace(
+        cA=np.array([b.cA for b in cb]),
+        cB=np.array([b.cB for b in cb]),
+        c=np.array([b.c for b in cb]),
+        deltaB=np.array([d.deltaB for d in db]),
+        deltaA=np.array([d.deltaA for d in db]),
+    )
+
+
+def _numbers(x, path=""):
+    if isinstance(x, dict):
+        for k, v in x.items():
+            yield from _numbers(v, f"{path}.{k}")
+    elif isinstance(x, list):
+        for i, v in enumerate(x):
+            yield from _numbers(v, f"{path}[{i}]")
+    else:
+        yield path, x
+
+
+def test_counterexample_pq_from_kernel_match_matrix_path(monkeypatch, capsys):
+    # every number to 1e-14, except the two boundary gaps of L: their slope
+    # in a scaled correlator m is up to 1 / sqrt(1 - m^2), which carries a
+    # 1e-14 difference of the inputs into the gap that much larger
+    kernel = realization.two_qubit_behaviors
+    for eps in np.random.default_rng(51).uniform(0.0, math.pi / 40, 50):
+        reports = []
+        for path in (kernel, _matrix_path_behaviors):
+            monkeypatch.setattr(realization, "two_qubit_behaviors", path)
+            code = main(["counterexample", "--epsilon", repr(float(eps))])
+            reports.append((code, json.loads(capsys.readouterr().out)))
+        (code, report), (code_ref, ref) = reports
+        assert code == code_ref
+        assert (report["LIsLocal"], report["LInCryptSet"]) == (ref["LIsLocal"], ref["LInCryptSet"])
+        l_d = DBehavior.from_dict(report["L"]["dbehavior"])
+        bound = {
+            f".cryptGaps.tlm{side}": 1e-14 / math.sqrt(1.0 - m**2)
+            for side in ("B", "A")
+            for m in [np.abs(scaled_correlators(l_d, side)).max()]
+        }
+        for (path, x), (path_ref, x_ref) in zip(_numbers(report), _numbers(ref)):
+            assert path == path_ref
+            assert abs(x - x_ref) <= bound.get(path, 1e-14), (eps, path, x, x_ref)
 
 
 def test_sweep_deterministic(tmp_path):
