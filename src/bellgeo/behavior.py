@@ -142,11 +142,16 @@ def chsh_values(b: CBehavior) -> np.ndarray:
     return chsh_values_batch(b.c)
 
 
+def _chsh_local(b: CBehavior, tol: float) -> bool:
+    """The CHSH half of ``is_local``, for a behavior already known to be valid."""
+    return bool(np.abs(chsh_values(b)).max() <= 2.0 + tol)
+
+
 def is_local(b: CBehavior, tol: float = DEFAULT_TOL) -> bool:
     """Membership in the local polytope via positivity plus the CHSH facets."""
     if not is_valid(b, tol):
         raise InvalidBehaviorError("is_local requires a valid behavior")
-    return bool(np.abs(chsh_values(b)).max() <= 2.0 + tol)
+    return _chsh_local(b, tol)
 
 
 def mix(behaviors, weights, tol: float = DEFAULT_TOL):

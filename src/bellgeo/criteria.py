@@ -18,7 +18,7 @@ from .behavior import (
     CBehavior,
     DBehavior,
     InvalidBehaviorError,
-    is_local,
+    _chsh_local,
     is_valid,
 )
 from .jsonio import Record
@@ -71,36 +71,66 @@ class ExtremalVerdict(Record):
     residuals: dict
 
 
-def s_quantities(b: CBehavior, tol: float = DEFAULT_TOL) -> SQuantities:
+def _branches(b: CBehavior) -> tuple[np.ndarray, ...]:
+    """J, K, the discriminant J^2 - 4 K^2 and both branch values, per setting pair."""
     J = b.c**2 - b.cA[:, None] ** 2 - b.cB[None, :] ** 2 + 1.0
     K = b.c - b.cA[:, None] * b.cB[None, :]
     disc = J**2 - 4.0 * K**2
+    root = np.sqrt(np.maximum(disc, 0.0))
+    return J, K, disc, 0.5 * (J + root), 0.5 * (J - root)
+
+
+def _require_real_roots(disc: np.ndarray, tol: float) -> None:
     if disc.min() < -tol:
         bad = np.unravel_index(disc.argmin(), disc.shape)
         raise InvalidBehaviorError(
             f"branch equation has no real roots at setting pair {bad} "
             f"(discriminant {disc.min()})"
         )
-    root = np.sqrt(np.clip(disc, 0.0, None))
-    return SQuantities(J=J, K=K, sPlus=0.5 * (J + root), sMinus=0.5 * (J - root))
+
+
+def s_quantities(b: CBehavior, tol: float = DEFAULT_TOL) -> SQuantities:
+    J, K, disc, s_plus, s_minus = _branches(b)
+    _require_real_roots(disc, tol)
+    return SQuantities(J=J, K=K, sPlus=s_plus, sMinus=s_minus)
 
 
 # the 16 branch patterns p[x][y], all-plus first
 _PATTERNS = SIGN_PATTERNS.reshape(16, 2, 2)
+_PLUS = _PATTERNS > 0
 
 
-def _branch_table(b: CBehavior, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Spread, commonValue and H product of every branch pattern, in one broadcast.
+def _branch_table(b: CBehavior) -> tuple[np.ndarray, ...]:
+    """Discriminant, and spread, commonValue and H product of every branch
+    pattern, in one broadcast.
 
     Row k selects S^+ where ``_PATTERNS[k]`` is +1 and S^- where it is -1;
-    row 0 is the all-plus pattern.
+    row 0 is the all-plus pattern.  No entry depends on a tolerance: only
+    the test of the discriminant does (``_require_real_roots``), so one
+    table serves the criterion and the reconstruction at their two
+    tolerances.
     """
-    s = s_quantities(b, tol)
-    vals = np.where(_PATTERNS > 0, s.sPlus, s.sMinus)
-    spread = vals.max(axis=(1, 2)) - vals.min(axis=(1, 2))
-    common = vals.mean(axis=(1, 2))
+    _, _, disc, s_plus, s_minus = _branches(b)
+    vals = np.where(_PLUS, s_plus, s_minus).reshape(16, 4)
+    spread = vals.max(axis=1) - vals.min(axis=1)
+    common = vals.sum(axis=1) / 4.0  # the mean, as ndarray.mean forms it
     h = np.prod((1.0 - common)[:, None, None] * b.c - b.cA[:, None] * b.cB[None, :], axis=(1, 2))
-    return spread, common, h
+    return disc, spread, common, h
+
+
+def _accepted_patterns(table: tuple[np.ndarray, ...], tol: float) -> list[SignPattern]:
+    """The acceptance walk of ``two_qubit_condition`` over a ``_branch_table``."""
+    disc, spread, common, h = table
+    _require_real_roots(disc, tol)
+    spread_l, common_l, h_l = spread.tolist(), common.tolist(), h.tolist()
+    found: list[SignPattern] = []
+    for k in np.argsort(spread, kind="stable").tolist():
+        if spread_l[k] > tol:
+            break
+        if h_l[k] < -tol or any(abs(common_l[k] - f.commonValue) <= tol for f in found):
+            continue
+        found.append(SignPattern(p=_PATTERNS[k], commonValue=common_l[k], H=h_l[k]))
+    return found
 
 
 def two_qubit_condition(b: CBehavior, tol: float = DEFAULT_TOL) -> list[SignPattern]:
@@ -114,15 +144,7 @@ def two_qubit_condition(b: CBehavior, tol: float = DEFAULT_TOL) -> list[SignPatt
     nearly branch-degenerate at one pair can otherwise stand in for the
     exact one, about sqrt(tol) off.
     """
-    spread, common, h = _branch_table(b, tol)
-    found: list[SignPattern] = []
-    for k in np.argsort(spread, kind="stable"):
-        if spread[k] > tol:
-            break
-        if h[k] < -tol or any(abs(common[k] - f.commonValue) <= tol for f in found):
-            continue
-        found.append(SignPattern(p=_PATTERNS[k], commonValue=float(common[k]), H=float(h[k])))
-    return found
+    return _accepted_patterns(_branch_table(b), tol)
 
 
 def d_quantities(b: CBehavior, sin2chiSq: float) -> tuple[np.ndarray, np.ndarray]:
@@ -143,11 +165,12 @@ def _tlm(ct: np.ndarray, comp: np.ndarray | None = None) -> np.ndarray:
     ``comp`` is 1 - ct^2 where the caller knows it more accurately than ct
     itself gives it.
     """
-    lhs = np.abs(ct[..., 0, 0] * ct[..., 0, 1] - ct[..., 1, 0] * ct[..., 1, 1])
+    rows = ct[..., 0] * ct[..., 1]  # c_x0 c_x1 for x = 0, 1
+    lhs = np.abs(rows[..., 0] - rows[..., 1])
     if comp is None:
-        comp = np.clip(1.0 - ct**2, 0.0, None)
-    rhs = np.sqrt(comp[..., 0, 0] * comp[..., 0, 1]) + np.sqrt(comp[..., 1, 0] * comp[..., 1, 1])
-    return rhs - lhs
+        comp = np.maximum(1.0 - ct**2, 0.0)
+    rhs = np.sqrt(comp[..., 0] * comp[..., 1])
+    return rhs[..., 0] + rhs[..., 1] - lhs
 
 
 def tlm_gap(ctilde: np.ndarray, tol: float = DEFAULT_TOL) -> float:
@@ -167,12 +190,17 @@ def tlm_gap(ctilde: np.ndarray, tol: float = DEFAULT_TOL) -> float:
     return float(_tlm(ct))
 
 
+def _over(c: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """c / denom for arrays of one shape; where denom vanishes, 0 for a zero
+    c and the always-violating sentinel 2 for any other."""
+    return np.divide(c, denom, out=np.where(c == 0.0, 0.0, 2.0), where=denom > 0.0)
+
+
 def _scaled(delta: np.ndarray, c: np.ndarray, side: str) -> tuple[np.ndarray, np.ndarray]:
     """Square-root biases broadcast over (..., 2, 2), and the correlators scaled by them.
 
     Side B divides row x by sqrt(delta^B_x), side A column y by
-    sqrt(delta^A_y).  Where the bias vanishes a zero correlator scales to 0
-    and a nonzero one to 2, an always-violating sentinel.
+    sqrt(delta^A_y).
     """
     root = np.sqrt(np.clip(delta, 0.0, None))
     if side == "B":
@@ -181,8 +209,7 @@ def _scaled(delta: np.ndarray, c: np.ndarray, side: str) -> tuple[np.ndarray, np
         denom = np.broadcast_to(root[..., None, :], c.shape)
     else:
         raise ValueError("side must be 'A' or 'B'")
-    ct = np.divide(c, denom, out=np.where(c == 0.0, 0.0, 2.0), where=denom > 0.0)
-    return denom, ct
+    return denom, _over(c, denom)
 
 
 def scaled_correlators(d: DBehavior, side: str) -> np.ndarray:
@@ -195,19 +222,26 @@ def scaled_correlators(d: DBehavior, side: str) -> np.ndarray:
     return _scaled(d.deltaB if side == "B" else d.deltaA, d.c, side)[1]
 
 
+# index of the square-root bias that scales C_xy, as [side, x, y] with side
+# B (row x, bias delta^B_x) first and side A (column y, bias delta^A_y) second
+_SCALE_INDEX = (
+    np.array([[[0, 0], [0, 0]], [[1, 1], [1, 1]]]),
+    np.array([[[0, 0], [1, 1]], [[0, 1], [0, 1]]]),
+)
+
+
 def saturation_gaps(b: CBehavior, sin2chiSq: float) -> tuple[float, float]:
     """Boundary gaps (B, A) of the scaled correlators at a branch value.
 
     The correlators are scaled by the guessing biases of the two-qubit
     point with this branch value (``d_quantities``, clipped to [0, 1]) and
-    clipped to [-1, 1] before the gap.  Both gaps vanish on a behavior
-    whose geometry the branch value determines.
+    clipped to [-1, 1] before the gap.  Both sides go through ``_tlm`` as one
+    stacked (2, 2, 2) array.  Both gaps vanish on a behavior whose geometry
+    the branch value determines.
     """
-    dB, dA = d_quantities(b, sin2chiSq)
-    gB, gA = (
-        float(_tlm(np.clip(_scaled(np.clip(delta, 0.0, 1.0), b.c, side)[1], -1.0, 1.0)))
-        for side, delta in (("B", dB), ("A", dA))
-    )
+    root = np.sqrt(np.clip(d_quantities(b, sin2chiSq), 0.0, 1.0))
+    ct = _over(np.array((b.c, b.c)), root[_SCALE_INDEX])
+    gB, gA = _tlm(np.clip(ct, -1.0, 1.0)).tolist()
     return gB, gA
 
 
@@ -284,9 +318,12 @@ def extremal_criterion(b: CBehavior, tol: float = DEFAULT_TOL) -> ExtremalVerdic
     """
     if not is_valid(b, tol):
         raise InvalidBehaviorError("extremal criterion requires a valid behavior")
-    if is_local(b, tol):
+    if _chsh_local(b, tol):
         raise InvalidBehaviorError("extremal criterion addresses nonlocal behaviors only")
-    spread, common, h = (float(v[0]) for v in _branch_table(b, tol))
+    # one table for the S^+ test here and the reconstruction below
+    table = _branch_table(b)
+    _require_real_roots(table[0], tol)
+    spread, common, h = (float(v[0]) for v in table[1:])
     cond_splus = spread <= tol and h >= -tol
     residuals = {"sPlusSpread": spread, "hProduct": h}
     tlm_b = tlm_a = False
@@ -299,11 +336,11 @@ def extremal_criterion(b: CBehavior, tol: float = DEFAULT_TOL) -> ExtremalVerdic
         tlm_a = abs(ga) <= root_tol(tol)
         if tlm_b and tlm_a:
             # deferred import: the reconstruction layer builds on this module
-            from .geometry import ReconstructionError, reconstruct
+            from .geometry import ReconstructionError, _reconstruct
             from .qbell import DegenerateGeometryError, uniqueness_check
 
             try:
-                g = reconstruct(b, tol=root_tol(tol))
+                g = _reconstruct(b, root_tol(tol), table, {min(common, 1.0): (gb, ga)})
                 uniq = uniqueness_check(g)
                 uniq_trivial = uniq.trivialOnly
                 residuals["uniquenessSolutions"] = len(uniq.solutions)

@@ -17,9 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .behavior import SIGN_PATTERNS, CBehavior
-from .criteria import d_quantities, saturation_gaps, two_qubit_condition
+from .criteria import _accepted_patterns, _branch_table, saturation_gaps
 from .jsonio import Record, freeze
-from .realization import TwoQubitRealization, two_qubit_biases, two_qubit_correlators
+from .realization import (
+    TwoQubitRealization,
+    _correlators,
+    two_qubit_biases,
+    two_qubit_correlators,
+)
 from .tolerances import DEFAULT_TOL, MAX_ENTANGLED_SLACK, MODEL_FIT_FACTOR, ROUNDING_ZERO
 
 
@@ -51,6 +56,21 @@ class GeometryParams(Record):
             object.__setattr__(self, name, x)
 
 
+def _planar(thetaA: np.ndarray, thetaB: np.ndarray, chi: float) -> GeometryParams:
+    """The geometry of (thetaA, thetaB, chi): one arctan2 over all four angles."""
+    s2 = math.sin(2.0 * chi)
+    theta = np.concatenate([thetaA, thetaB])
+    phi = np.arctan2(np.sin(theta) * s2, np.cos(theta))
+    return GeometryParams(
+        thetaA=thetaA,
+        thetaB=thetaB,
+        phiB=phi[:2],
+        phiA=phi[2:],
+        chi=chi,
+        psiPrimeNorm=math.cos(2.0 * chi),
+    )
+
+
 def projection_angles(r: TwoQubitRealization) -> GeometryParams:
     """Planar angles of a two-qubit realization.
 
@@ -58,17 +78,7 @@ def projection_angles(r: TwoQubitRealization) -> GeometryParams:
     phi^B_x = atan2(sin(theta^A_x) sin(2 chi), cos(theta^A_x)), and
     symmetrically for phi^A_y.
     """
-    s2 = math.sin(2.0 * r.chi)
-    phiB = np.arctan2(np.sin(r.thetaA) * s2, np.cos(r.thetaA))
-    phiA = np.arctan2(np.sin(r.thetaB) * s2, np.cos(r.thetaB))
-    return GeometryParams(
-        thetaA=r.thetaA,
-        thetaB=r.thetaB,
-        phiB=phiB,
-        phiA=phiA,
-        chi=r.chi,
-        psiPrimeNorm=math.cos(2.0 * r.chi),
-    )
+    return _planar(r.thetaA, r.thetaB, r.chi)
 
 
 def two_qubit_of(g: GeometryParams) -> TwoQubitRealization:
@@ -114,6 +124,11 @@ def _reconstruct_max_entangled(b: CBehavior, tol: float) -> TwoQubitRealization:
     return TwoQubitRealization(thetaA=thetaA[best], thetaB=thetaB[best], chi=math.pi / 4)
 
 
+# the angle sign assignments (sA0, sA1, sB0, sB1) of the sign fit, in the
+# order of SIGN_PATTERNS's (sA0, sB0, sA1, sB1), all-plus first
+_ANGLE_SIGNS = SIGN_PATTERNS[:, [0, 2, 1, 3]]
+
+
 def reconstruct(b: CBehavior, tol: float = DEFAULT_TOL) -> GeometryParams:
     """Recover the unique planar geometry of a boundary behavior.
 
@@ -121,17 +136,34 @@ def reconstruct(b: CBehavior, tol: float = DEFAULT_TOL) -> GeometryParams:
     inequality for both scaled-correlator sets.  The returned representative
     is canonical: sin(theta^A_0) >= 0, ties broken by sin(theta^B_0) >= 0.
     """
-    patterns = two_qubit_condition(b, max(tol, DEFAULT_TOL))
+    return _reconstruct(b, tol, _branch_table(b), {})
+
+
+def _reconstruct(b: CBehavior, tol: float, table: tuple, gaps: dict) -> GeometryParams:
+    """``reconstruct`` from the behavior's ``_branch_table``.
+
+    ``gaps`` maps branch values to their ``saturation_gaps`` where the
+    caller has them already; the values computed here are added to it.
+    """
+    patterns = _accepted_patterns(table, max(tol, DEFAULT_TOL))
     if not patterns:
         raise ReconstructionError("no consistent branch assignment; behavior is not two-qubit")
+    fit_tol = MODEL_FIT_FACTOR * tol
+    marginals = np.concatenate([b.cA, b.cB])
+    cA0, cA1, cB0, cB1 = marginals.tolist()
+    mA, mB = max(abs(cA0), abs(cA1)), max(abs(cB0), abs(cB1))
+    # the largest bias coordinate of each side is its largest cA_x^2 or cB_y^2
+    # plus the branch value (``d_quantities``)
+    sqA, sqB = max(cA0 * cA0, cA1 * cA1), max(cB0 * cB0, cB1 * cB1)
     last_error = "no branch value yields a consistent geometry"
     for pat in patterns:
         common = min(max(pat.commonValue, 0.0), 1.0)
-        dB, dA = d_quantities(b, common)
-        if dB.max() > 1.0 + MODEL_FIT_FACTOR * tol or dA.max() > 1.0 + MODEL_FIT_FACTOR * tol:
+        if sqA + common > 1.0 + fit_tol or sqB + common > 1.0 + fit_tol:
             last_error = f"bias coordinate exceeds 1 for branch value {common}"
             continue
-        gapB, gapA = saturation_gaps(b, common)
+        if common not in gaps:
+            gaps[common] = saturation_gaps(b, common)
+        gapB, gapA = gaps[common]
         if abs(gapB) > tol or abs(gapA) > tol:
             last_error = (
                 f"scaled-correlator boundary not saturated (gaps {gapB}, {gapA}) "
@@ -145,67 +177,62 @@ def reconstruct(b: CBehavior, tol: float = DEFAULT_TOL) -> GeometryParams:
             except ReconstructionError as exc:
                 last_error = str(exc)
                 continue
-            return _canonicalize(r)
+            return _canonicalize(r.thetaA, r.thetaB, r.chi)
         cos2chi = math.sqrt(1.0 - common)
-        if np.abs(b.cA).max() > cos2chi + tol or np.abs(b.cB).max() > cos2chi + tol:
-            last_error = (
-                f"marginal magnitude {max(np.abs(b.cA).max(), np.abs(b.cB).max())} "
-                f"exceeds {cos2chi}; no consistent angle"
-            )
+        if mA > cos2chi + tol or mB > cos2chi + tol:
+            last_error = f"marginal magnitude {max(mA, mB)} exceeds {cos2chi}; no consistent angle"
             continue
-        baseA = np.arccos(np.clip(b.cA / cos2chi, -1.0, 1.0))
-        baseB = np.arccos(np.clip(b.cB / cos2chi, -1.0, 1.0))
+        base = np.arccos(np.clip(marginals / cos2chi, -1.0, 1.0))
         chi = 0.5 * math.asin(min(sin2chi, 1.0))
-        # the best-fitting assignment: at a loose tol a wrong one can also pass
-        # angle sign assignments (sA0, sB0, sA1, sB1), all-plus first
-        thetaA = SIGN_PATTERNS[:, [0, 2]] * baseA
-        thetaB = SIGN_PATTERNS[:, [1, 3]] * baseB
-        misfit = np.abs(two_qubit_correlators(thetaA, thetaB, sin2chi) - b.c).max(axis=(1, 2))
+        # the best-fitting assignment: at a loose tol a wrong one can also pass;
+        # rows (thetaA_0, thetaA_1, thetaB_0, thetaB_1)
+        theta = _ANGLE_SIGNS * base
+        cos, sin = np.cos(theta), np.sin(theta)
+        model = _correlators(cos[:, :2], sin[:, :2], cos[:, 2:], sin[:, 2:], sin2chi)
+        misfit = np.abs(model - b.c).reshape(16, 4).max(axis=1)
         best = int(misfit.argmin())
-        if misfit[best] <= MODEL_FIT_FACTOR * tol:
-            return _canonicalize(
-                TwoQubitRealization(thetaA=thetaA[best], thetaB=thetaB[best], chi=chi)
-            )
+        if misfit[best] <= fit_tol:
+            return _canonicalize(theta[best, :2], theta[best, 2:], chi)
         last_error = f"no sign assignment reproduces the correlators for branch value {common}"
     raise ReconstructionError(last_error)
 
 
-def _canonicalize(r: TwoQubitRealization) -> GeometryParams:
-    sA = math.sin(r.thetaA[0])
-    sB = math.sin(r.thetaB[0])
+def _canonicalize(thetaA: np.ndarray, thetaB: np.ndarray, chi: float) -> GeometryParams:
+    sA = math.sin(thetaA[0])
+    sB = math.sin(thetaB[0])
     if sA < -ROUNDING_ZERO or (abs(sA) <= ROUNDING_ZERO and sB < -ROUNDING_ZERO):
-        r = TwoQubitRealization(thetaA=-r.thetaA, thetaB=-r.thetaB, chi=r.chi)
-    return projection_angles(r)
+        thetaA, thetaB = -thetaA, -thetaB
+    return _planar(thetaA, thetaB, chi)
 
 
-def _angles_close(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    d = np.mod(a - b + math.pi, 2.0 * math.pi) - math.pi
-    return bool(np.abs(d).max() <= tol)
+def _images(r: TwoQubitRealization) -> np.ndarray:
+    """Rows (thetaA, thetaB) of the four symmetry images t, -t, pi - t, pi + t."""
+    t = np.concatenate([r.thetaA, r.thetaB])
+    return np.array([t, -t, math.pi - t, math.pi + t])
 
 
 def symmetry_transforms(g: GeometryParams) -> list[GeometryParams]:
     """The four geometries producing the same guessing-bias behavior."""
-    out = []
-    for f in (
-        lambda t: t,
-        lambda t: -t,
-        lambda t: math.pi - t,
-        lambda t: math.pi + t,
-    ):
-        r = TwoQubitRealization(thetaA=f(np.asarray(g.thetaA)), thetaB=f(np.asarray(g.thetaB)), chi=g.chi)
-        out.append(projection_angles(r))
-    return out
+    r = two_qubit_of(g)
+    return [_planar(t[:2], t[2:], r.chi) for t in _images(r)]
 
 
 def _match_geometries(g: GeometryParams, g2: GeometryParams, tol: float, b_angles: int = 1):
     """The first symmetry image of g2 whose A-angles and first ``b_angles``
-    B-angles lie within tol of g's, angles mod 2 pi; None if there is none."""
-    for cand in symmetry_transforms(g2):
-        if _angles_close(cand.thetaA, g.thetaA, tol) and _angles_close(
-            cand.thetaB[:b_angles], g.thetaB[:b_angles], tol
-        ):
-            return cand
-    return None
+    B-angles lie within tol of g's, angles mod 2 pi; None if there is none.
+
+    The four images are compared in one broadcast, and only the matching
+    one is built.
+    """
+    r = two_qubit_of(g2)
+    images = _images(r)
+    ref = np.concatenate([g.thetaA, g.thetaB[:b_angles]])
+    d = np.mod(images[:, : 2 + b_angles] - ref + math.pi, 2.0 * math.pi) - math.pi
+    close = np.abs(d).max(axis=1) <= tol
+    if not close.any():
+        return None
+    k = int(close.argmax())
+    return _planar(images[k, :2], images[k, 2:], r.chi)
 
 
 def symmetry_equivalent(g1: GeometryParams, g2: GeometryParams, tol: float = DEFAULT_TOL) -> bool:

@@ -84,13 +84,17 @@ class UniquenessReport:
     solutions: tuple
 
 
-def _construct_side(side: str, delta: np.ndarray, D: np.ndarray, dtheta: float):
+def _side_u(side: str, sd: list, dtheta: float) -> tuple[np.ndarray, float, float]:
+    """u, a and b of one side's hyperplane (see ``QBellCoefficients``).
+
+    ``sd`` holds sin(phi_x - theta_y) of the side as nested lists.
+    """
     sdt = math.sin(dtheta)
     if abs(sdt) < DEGENERATE_SIN:
         raise DegenerateGeometryError(f"side {side}: theta_0 - theta_1 is degenerate (sin = 0)")
-    sd = np.sin(delta)
-    pi0 = sd[0, 0] * sd[0, 1]
-    pi1 = sd[1, 0] * sd[1, 1]
+    (s00, s01), (s10, s11) = sd
+    pi0 = s00 * s01
+    pi1 = s10 * s11
     denom = pi1 - pi0
     if abs(denom) < ROUNDING_ZERO:
         raise DegenerateGeometryError(f"side {side}: both orientation products vanish")
@@ -105,7 +109,27 @@ def _construct_side(side: str, delta: np.ndarray, D: np.ndarray, dtheta: float):
     a = math.sqrt(max(ra, 0.0)) / abs(sdt)
     b = math.sqrt(max(rb, 0.0)) / abs(sdt)
     orient = 1.0 if sdt > 0 else -1.0
-    u = orient * np.array([[a * sd[0, 1], -a * sd[0, 0]], [b * sd[1, 1], b * sd[1, 0]]])
+    u = orient * np.array([[a * s01, -a * s00], [b * s11, b * s10]])
+    return u, a, b
+
+
+def _sides(g: GeometryParams):
+    """(side, u, a, b, theta_0 - theta_1) of sides B and A, B first.
+
+    One ``np.sin`` serves both sides; a degenerate side raises its
+    ``DegenerateGeometryError``, side B's first.
+    """
+    theta = np.array([g.thetaB, g.thetaA])
+    phi = np.array([g.phiB, g.phiA])
+    sd = np.sin(phi[:, :, None] - theta[:, None, :]).tolist()
+    out = []
+    for k, side in enumerate("BA"):
+        dtheta = float(theta[k, 0] - theta[k, 1])
+        out.append((side, *_side_u(side, sd[k], dtheta), dtheta))
+    return out
+
+
+def _construct_side(side: str, u: np.ndarray, a: float, b: float, D: np.ndarray, dtheta: float):
     s = np.array([D[1] * a, D[0] * b])
     sd2 = float((s[0] * D[0]) ** 2 + (s[1] * D[1]) ** 2)
     q = 1.0 / (2.0 * math.sqrt(sd2))
@@ -129,13 +153,9 @@ def _construct_side(side: str, delta: np.ndarray, D: np.ndarray, dtheta: float):
 def construct_pair(g: GeometryParams):
     """Both saturated hyperplanes of a geometry, with their intermediates."""
     dB, dA = d_values(g)
-    deltaB = np.asarray(g.phiB)[:, None] - np.asarray(g.thetaB)[None, :]
-    deltaA = np.asarray(g.phiA)[:, None] - np.asarray(g.thetaA)[None, :]
-    ineqB, coeffB = _construct_side(
-        "B", deltaB, np.sqrt(dB), float(g.thetaB[0] - g.thetaB[1])
-    )
-    ineqA, coeffA = _construct_side(
-        "A", deltaA, np.sqrt(dA), float(g.thetaA[0] - g.thetaA[1])
+    (ineqB, coeffB), (ineqA, coeffA) = (
+        _construct_side(side, u, a, b, np.sqrt(d), dtheta)
+        for (side, u, a, b, dtheta), d in zip(_sides(g), (dB, dA))
     )
     return ineqB, ineqA, (coeffB, coeffA)
 
@@ -195,16 +215,17 @@ def recovered_d_squared(coeff: QBellCoefficients, q: float, t: float) -> tuple[f
     return float(d0), float(d1)
 
 
-def _ratio_coefficients(coeff: QBellCoefficients) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets p and slopes q of the uniqueness ratios.
+def _ratio_coefficients(u: np.ndarray, t_ref) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets p and slopes q of the uniqueness ratios of stacked sides.
 
-    The k-th ratio is (p_k + q_k t)^2 with t = cos(theta_0 - theta_1),
-    normalized to 1 at the reference angle.
+    ``u`` has shape (..., 2, 2) and ``t_ref`` the leading shape; p and q
+    have shape (..., 4).  The k-th ratio is (p_k + q_k t)^2 with
+    t = cos(theta_0 - theta_1), normalized to 1 at the reference cosine
+    ``t_ref``.
     """
-    u = coeff.u
-    p = np.array([u[0, 0], u[0, 1], u[1, 0], u[1, 1]])
-    q = np.array([u[0, 1], u[0, 0], -u[1, 1], -u[1, 0]])
-    ref = p + q * math.cos(coeff.dthetaRef)
+    p = u.reshape(u.shape[:-2] + (4,))
+    q = p[..., [1, 0, 3, 2]] * np.array([1.0, 1.0, -1.0, -1.0])
+    ref = p + q * np.asarray(t_ref)[..., None]
     if np.abs(ref).min() < RATIO_DENOMINATOR_MIN:
         raise DegenerateGeometryError(
             "a uniqueness-equation denominator vanishes at the reference angle"
@@ -215,23 +236,17 @@ def _ratio_coefficients(coeff: QBellCoefficients) -> tuple[np.ndarray, np.ndarra
 def _ratio_values(coeff: QBellCoefficients, t):
     """The four squared ratios of the uniqueness system, as functions of
     t = cos(theta_0 - theta_1), normalized to 1 at the reference angle."""
-    p, q = _ratio_coefficients(coeff)
+    p, q = _ratio_coefficients(coeff.u, math.cos(coeff.dthetaRef))
     t = np.asarray(t, dtype=float)
     shape = (4,) + (1,) * t.ndim
     return (p.reshape(shape) + q.reshape(shape) * t) ** 2
 
 
-def _clip_line(x0: np.ndarray, v: np.ndarray) -> list[np.ndarray]:
-    """Endpoints of the part of the line x0 + lam v inside [-1, 1]^2."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ends = (np.array([[-1.0], [1.0]]) - x0) / v  # (bound, coordinate)
-    # a coordinate the line does not move along gives +-inf (or nan on the
-    # border), which constrains nothing or empties the segment
-    lo = np.nanmax(ends.min(axis=0))
-    hi = np.nanmin(ends.max(axis=0))
-    if not lo <= hi:
-        return []
-    return [x0 + lo * v, x0 + hi * v]
+# the bounds of the square [-1, 1]^2 that end a solution line, as rows
+# (bound, coordinate) of (bound - x0) / v
+_BOUNDS = np.array([[-1.0], [1.0]])
+# the candidate slots (system, end) of 16 full-rank systems: one point each
+_POINT_SLOTS = np.array([[True, False]] * len(SIGN_PATTERNS))
 
 
 def _same_root(a, b) -> bool:
@@ -252,40 +267,59 @@ def uniqueness_check(g: GeometryParams) -> UniquenessReport:
     max_k |m_k.t - r_k| / (|m_k| |t| + |r_k|) <= ``ROOT_RESIDUAL``.  Solutions
     are listed as (tA, tB, residual), the reference cosines first; the
     geometry is unique when all lie within ``ROOT_SEPARATION`` of them.
+    Only each side's u and reference angle are needed, not the hyperplanes.
     """
-    _, _, (coeffB, coeffA) = construct_pair(g)
-    pA, qA = _ratio_coefficients(coeffA)
-    pB, qB = _ratio_coefficients(coeffB)
-    ref = np.array([math.cos(coeffA.dthetaRef), math.cos(coeffB.dthetaRef)])
+    (_, uB, _, _, dthetaB), (_, uA, _, _, dthetaA) = _sides(g)
+    ref = np.array([math.cos(dthetaA), math.cos(dthetaB)])
+    (pA, pB), (qA, qB) = _ratio_coefficients(np.array((uA, uB)), ref)
 
     # one row of sign patterns sigma per system, all-plus (the reference
     # root's pattern) first
-    m = np.stack([np.broadcast_to(qA, SIGN_PATTERNS.shape), -SIGN_PATTERNS * qB], axis=-1)
+    m = np.empty(SIGN_PATTERNS.shape + (2,))
+    m[..., 0] = qA
+    m[..., 1] = -SIGN_PATTERNS * qB
     rhs = SIGN_PATTERNS * pB - pA
     left, sv, vt = np.linalg.svd(m, full_matrices=False)
     proj = np.einsum("nki,nk->ni", left, rhs)
     full_rank = sv[:, 1] > RANK_TOL * sv[:, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         points = np.einsum("nij,ni->nj", vt, proj / sv)
-    systems, candidates = [0], [ref]
-    for n in range(len(SIGN_PATTERNS)):
-        if full_rank[n]:
-            ends = [np.clip(points[n], -1.0, 1.0)]
-        else:
-            ends = _clip_line(vt[n, 0] * proj[n, 0] / sv[n, 0], vt[n, 1])
-        systems += [n] * len(ends)
-        candidates += ends
+    # slots (system, end): a full-rank system's point in end 0, a rank-1
+    # system's line ends in both where its segment is not empty
+    slots = np.empty(SIGN_PATTERNS.shape[:1] + (2, 2))
+    slots[:, 0] = np.clip(points, -1.0, 1.0)
+    filled = _POINT_SLOTS.copy()
+    line = np.flatnonzero(~full_rank)
+    if line.size:
+        # the solution line x0 + lam v; a coordinate the line does not move
+        # along gives +-inf (or nan on the border), which constrains nothing
+        # or empties the segment
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x0 = vt[line, 0] * proj[line, 0, None] / sv[line, 0, None]
+            v = vt[line, 1]
+            ends = (_BOUNDS - x0[:, None, :]) / v[:, None, :]
+            lo = np.fmax.reduce(ends.min(axis=1), axis=-1)
+            hi = np.fmin.reduce(ends.max(axis=1), axis=-1)
+        slots[line] = x0[:, None, :] + np.array((lo, hi)).T[:, :, None] * v[:, None, :]
+        filled[line] = (lo <= hi)[:, None]
+    # candidates in system order, after the reference cosines in the
+    # all-plus system
+    systems = np.concatenate([[0], np.nonzero(filled)[0]])
+    ts = np.concatenate([ref[None], slots[filled]])
 
-    ts = np.array(candidates)
     ms, rs = m[systems], rhs[systems]
-    scale = np.linalg.norm(ms, axis=-1) * np.linalg.norm(ts, axis=-1)[:, None] + np.abs(rs)
+    # |m_k| |t| + |r_k|, the norms as np.linalg.norm forms them
+    scale = np.sqrt(np.add.reduce(ms * ms, axis=-1)) * np.sqrt(
+        np.add.reduce(ts * ts, axis=-1)
+    )[:, None] + np.abs(rs)
     miss = np.abs(np.einsum("nki,ni->nk", ms, ts) - rs)
     # a zero scale (t = 0, r_k = 0) leaves the exact miss 0
     residual = np.divide(miss, scale, out=miss, where=scale > 0.0).max(axis=-1)
+    root = residual <= ROOT_RESIDUAL
     solutions: list[tuple[float, float, float]] = []
-    for (ta, tb), res in zip(ts, residual):
-        if res <= ROOT_RESIDUAL and not any(_same_root((ta, tb), s) for s in solutions):
-            solutions.append((float(ta), float(tb), float(res)))
+    for ta, tb, res in np.concatenate([ts[root], residual[root, None]], axis=1).tolist():
+        if not any(_same_root((ta, tb), s) for s in solutions):
+            solutions.append((ta, tb, res))
     trivial_only = all(_same_root(s, ref) for s in solutions)
     return UniquenessReport(trivialOnly=trivial_only, solutions=tuple(solutions))
 

@@ -259,16 +259,18 @@ def conditional_states(r, side: str, setting: int) -> ConditionalStates:
 def guessing_bias(r, side: str, setting: int, cutoff: float = SUPPORT_CUTOFF) -> float:
     """Optimal bias of guessing the remote outcome, closed form.
 
-    Evaluates D^2 = sum_{kk'} 2|a_kk'|^2 / (m_k + m_k') over the support of
-    the reduced state; the restriction makes the formula division-safe.
+    Evaluates D^2 = sum_{kk'} 2|a_kk'|^2 / (m_k + m_k') over the pairs of
+    reduced-state eigenvalues with m_k + m_k' > ``cutoff``, which makes the
+    formula division-safe.  A pair with one null eigenvalue stays: its term
+    is harmless, since |a_kk'|^2 <= m_k m_k'.
     """
     cs = conditional_states(r, side, setting)
-    keep = cs.eigenvalues > cutoff
-    m = cs.eigenvalues[keep]
-    a = cs.overlaps[np.ix_(keep, keep)]
+    m = cs.eigenvalues
     denom = m[:, None] + m[None, :]
-    d2 = float(np.sum(2.0 * np.abs(a) ** 2 / denom))
-    return math.sqrt(max(d2, 0.0))
+    terms = np.divide(
+        2.0 * np.abs(cs.overlaps) ** 2, denom, out=np.zeros_like(denom), where=denom > cutoff
+    )
+    return math.sqrt(max(float(np.sum(terms)), 0.0))
 
 
 def _hermitian_basis(k: int) -> list[np.ndarray]:

@@ -40,8 +40,12 @@ CHI_RANGE_SLACK = 1e-12
 #: identities that must hold to ``RESIDUAL_PASS``.
 ADDED_OBSERVABLE_TOL = 1e-12
 
-#: Reduced-state eigenvalues at or below this value are treated as outside
-#: the support; the excluded terms of the bias formula carry zero weight.
+#: The bias formula leaves out a pair of reduced-state eigenvalues whose sum
+#: is at or below this value: its term 2|a_kk'|^2 / (m_k + m_k') is at most
+#: (m_k + m_k') / 2, since |a_kk'|^2 <= m_k m_k', and its division is unsafe.
+#: A pair with one null eigenvalue stays, so the cross terms of an eigenvalue
+#: near sin^2(chi) ~ 1e-12 are kept.  The oracle's support is the
+#: eigenvalues above this value.
 SUPPORT_CUTOFF = 1e-12
 
 #: |sin(theta_0 - theta_1)| below this means the two observables of a side

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from bellgeo import criteria, realization
+from bellgeo import behavior, criteria, geometry, qbell, realization
 from bellgeo.behavior import DBehavior, chsh_values
 from bellgeo.cli import _boundary_intervals, _pq_params, _sweep_columns, main
 from bellgeo.criteria import crypt_gaps, scaled_correlators
@@ -24,6 +24,7 @@ from bellgeo.realization import (
     simulate_dbehavior,
 )
 from bellgeo.tolerances import BOUNDARY_TOL
+from realizations import random_conforming
 
 P_JSON = TwoQubitRealization(
     thetaA=[0.0, math.pi / 2], thetaB=[1e-9, -math.pi / 4], chi=math.pi / 12
@@ -406,6 +407,58 @@ def test_counterexample_csv_calls_the_gap_kernel_at_most_twice(monkeypatch, caps
     monkeypatch.setattr(criteria, "crypt_gaps_batch", counted)
     assert main(["counterexample", "--format", "csv", "--samples", "61"]) == 0
     assert len(calls) <= 2
+
+
+def _counted(monkeypatch, modules, name):
+    """Count calls of ``name`` through every module that binds it; each call
+    records its first argument."""
+    calls = []
+    for mod in modules:
+        inner = getattr(mod, name)
+
+        def counted(*args, _inner=inner, **kwargs):
+            calls.append(args[0])
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def _candidate_jsons(n):
+    """Realizations whose behavior ``check`` accepts as a candidate."""
+    rng = np.random.default_rng(190)
+    found = []
+    while len(found) < n:
+        r = geometry.two_qubit_of(random_conforming(rng))
+        b = simulate_cbehavior(r)
+        if not behavior.is_local(b) and criteria.extremal_criterion(b).conjecture1Candidate:
+            found.append(r.to_json())
+    return found
+
+
+def test_check_on_a_candidate_evaluates_each_quantity_once(monkeypatch, capsys):
+    # the S+ test and the reconstruction share one branch table, one
+    # saturation-gap evaluation and one validity check
+    for text in _candidate_jsons(5):
+        tables = _counted(monkeypatch, (criteria, geometry), "_branch_table")
+        gaps = _counted(monkeypatch, (criteria, geometry), "saturation_gaps")
+        validity = _counted(monkeypatch, (criteria, behavior), "is_valid")
+        assert main(["check", "-i", text]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["uniquenessTrivial"] is True
+        assert (len(tables), len(gaps), len(validity)) == (1, 1, 1)
+        monkeypatch.undo()
+
+
+def test_qbell_builds_each_side_once(monkeypatch, capsys):
+    # the uniqueness check takes each side's u from the geometry without
+    # building the hyperplanes again
+    for text in _candidate_jsons(4):
+        sides = _counted(monkeypatch, (qbell,), "_construct_side")
+        assert main(["qbell", "-i", text]) == 0
+        capsys.readouterr()
+        assert sides == ["B", "A"]
+        monkeypatch.undo()
 
 
 def _matrix_path_behaviors(thetaA, thetaB, chi):

@@ -191,12 +191,15 @@ def test_json_round_trips():
 
 def _kernel_cases():
     """2000 random draws, then the degenerate edges: chi at and near 0 and
-    pi/4, angles at 0 and pi.  chi between about 1e-7 and 1e-5 is left out:
-    there sin^2(chi) meets SUPPORT_CUTOFF, and the matrix path's dropped
-    eigenvalue costs it up to 4e-12 in the biases."""
+    pi/4, angles at 0 and pi.  chi = 1e-6 and 1e-5 put sin^2(chi) at and
+    just above SUPPORT_CUTOFF, where the matrix path keeps the cross terms
+    of the small eigenvalue.  chi near 1e-7 is left out: there eigh's
+    absolute precision on an eigenvalue of 1e-14 costs the matrix path up
+    to about 1e-14 in the biases."""
     rng = np.random.default_rng(7)
     cases = [random_two_qubit(rng) for _ in range(2000)]
-    for chi in (0.0, 1e-12, 1e-9, 1e-4, math.pi / 4 - 1e-7, math.pi / 4 - 1e-12, math.pi / 4):
+    for chi in (0.0, 1e-12, 1e-9, 1e-6, 1e-5, 1e-4, math.pi / 4 - 1e-7, math.pi / 4 - 1e-12,
+                math.pi / 4):
         for _ in range(20):
             tA, tB = rng.choice([0.0, math.pi, rng.uniform(0.0, 2.0 * math.pi)], size=(2, 2))
             cases.append(TwoQubitRealization(thetaA=tA, thetaB=tB, chi=chi))
