@@ -47,10 +47,8 @@ from .qbell import (
     verify_cryptographic_chain,
 )
 from .realization import (
-    ConditionalStates,
     GeneralRealization,
     TwoQubitRealization,
-    conditional_states,
     embed,
     guessing_bias,
     guessing_bias_oracle,
@@ -68,7 +66,6 @@ from .realization import (
 from .selftest import (
     DerivedOperators,
     ExtendedRealization,
-    IsometryResult,
     anticommutator_residual,
     derive_operators,
     protocol_chain,

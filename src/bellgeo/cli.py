@@ -103,8 +103,7 @@ def _write(out_path: str | None, text: str):
 def cmd_simulate(args) -> int:
     obj = _parse_object(_read_input(args.input))
     r = _as_realization(obj)
-    cb = realization.simulate_cbehavior(r)
-    db = realization.simulate_dbehavior(r)
+    cb, db = realization._simulate(r)
     _write(
         args.output,
         jsonio.dumps(

@@ -291,12 +291,15 @@ def crypt_gaps(d: DBehavior, tol: float = DEFAULT_TOL) -> dict:
 
 
 def gaps_member(gaps: dict, tol: float = DEFAULT_TOL) -> bool | np.ndarray:
-    """Membership verdict from computed gaps: none below -tol.
+    """Membership verdict from computed gaps: no cap below -tol and no
+    boundary gap below -root_tol(tol), since near |c~| = 1 the gap of a
+    rounded c~ is off by up to about sqrt(ulp).
 
     On the floats of ``crypt_gaps`` it returns a bool; on the arrays of
     ``crypt_gaps_batch`` a boolean array, one verdict per point.
     """
-    member = np.minimum.reduce(list(gaps.values())) >= -tol
+    caps = np.minimum(gaps["capB"], gaps["capA"]) >= -tol
+    member = caps & (np.minimum(gaps["tlmB"], gaps["tlmA"]) >= -root_tol(tol))
     return bool(member) if np.ndim(member) == 0 else member
 
 

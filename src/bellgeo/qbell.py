@@ -17,7 +17,7 @@ import numpy as np
 from .behavior import SIGN_PATTERNS, DBehavior
 from .geometry import GeometryParams, d_values
 from .jsonio import Record, freeze
-from .realization import simulate_cbehavior, simulate_dbehavior, two_qubit_behaviors
+from .realization import _simulate, two_qubit_behaviors
 from .tolerances import (
     DEFAULT_TOL,
     DEGENERATE_SIN,
@@ -195,11 +195,10 @@ def verify_cryptographic_chain(g: GeometryParams, r, tol: float = DEFAULT_TOL) -
     """
     ineqB, ineqA, (coeffB, coeffA) = construct_pair(g)
     ref = two_qubit_behaviors(g.thetaA, g.thetaB, g.chi)
-    got = simulate_cbehavior(r)
+    got, d = _simulate(r)
     mismatch = max(np.abs(getattr(ref, f) - getattr(got, f)).max() for f in ("cA", "cB", "c"))
     if mismatch > root_tol(tol):
         raise ValueError(f"realization behavior differs from geometry by {mismatch}")
-    d = simulate_dbehavior(r)
     return {
         "B": chain_slacks(ineqB, coeffB, d),
         "A": chain_slacks(ineqA, coeffA, d),

@@ -89,21 +89,6 @@ class GeneralRealization(Record):
         return self.psi.reshape(self.dimA, self.dimB)
 
 
-@dataclass(frozen=True)
-class ConditionalStates:
-    """Subnormalized conditional states of the guessing party.
-
-    ``eigenvalues`` and ``overlaps`` are taken in the eigenbasis of
-    ``rhoSum``; they feed the closed-form bias formula.
-    """
-
-    rhoPlus: np.ndarray
-    rhoMinus: np.ndarray
-    rhoSum: np.ndarray
-    eigenvalues: np.ndarray
-    overlaps: np.ndarray
-
-
 def xz_observable(theta: float) -> np.ndarray:
     """sin(theta)*sigma1 + cos(theta)*sigma3 as a complex matrix."""
     return (math.sin(theta) * SIGMA1 + math.cos(theta) * SIGMA3).astype(complex)
@@ -210,67 +195,83 @@ def _as_general(r) -> GeneralRealization:
     return r
 
 
+def _conditional(m: np.ndarray, obs) -> tuple[np.ndarray, np.ndarray]:
+    """rho = m^T m* of the column party of state matrix ``m``, and the stacked
+    Delta_k = rho_+ - rho_- = m^T O_k^T m* of its states conditioned on the
+    outcome of each row-party observable O_k.  The row party's side is the
+    same call on m^T."""
+    mc = m.conj()
+    return m.T @ mc, m.T @ np.swapaxes(obs, -1, -2) @ mc
+
+
+def _side(r, side: str) -> tuple[np.ndarray, np.ndarray]:
+    """``_conditional`` for the guessing party ``side`` of a realization."""
+    r = _as_general(r)
+    if side == "B":
+        return _conditional(r.state_matrix, r.A)
+    if side == "A":
+        return _conditional(r.state_matrix.T, r.B)
+    raise ValueError("side must be 'A' or 'B'")
+
+
+def _squared_biases(rho: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Squared optimal biases of guessing the remote outcome, one per Delta_k.
+
+    One eigendecomposition rho = sum_k m_k |k><k| serves the whole stack:
+    D^2 = sum_{kk'} 2|a_kk'|^2 / (m_k + m_k') with a = <k|Delta|k'>, over the
+    pairs with m_k + m_k' > ``SUPPORT_CUTOFF``, which makes the formula
+    division-safe.  A pair with one null eigenvalue stays: its term is
+    harmless, since |a_kk'|^2 <= m_k m_k'.
+    """
+    evals, evecs = np.linalg.eigh(rho)
+    a = evecs.conj().T @ delta @ evecs
+    denom = evals[:, None] + evals[None, :]
+    terms = np.divide(
+        2.0 * np.abs(a) ** 2, denom, out=np.zeros(a.shape), where=denom > SUPPORT_CUTOFF
+    )
+    return terms.sum(axis=(-2, -1))
+
+
+def _correlator_table(m: np.ndarray, A, B) -> tuple[np.ndarray, ...]:
+    """<A_x>, <B_y> and <A_x B_y> = <psi|A_x (x) B_y|psi>, one row per A_x and
+    one column per B_y, each one ``np.vdot``.  They equal tr Delta_x,
+    tr(rho B_y) and tr(Delta_x B_y), but summed in that order they move by
+    an ulp, which flips boundary behaviors whose reconstruction sits within
+    an ulp of its tolerance (an angle at 0 or pi, a discriminant near 0)."""
+    am = [a @ m for a in A]
+    return (
+        np.array([np.vdot(m, x).real for x in am]),
+        np.array([np.vdot(m, m @ b.T).real for b in B]),
+        np.array([[np.vdot(m, x @ b.T).real for b in B] for x in am]),
+    )
+
+
 def simulate_cbehavior(r) -> CBehavior:
     """Correlators <A_x>, <B_y>, <A_x B_y> of a realization."""
     r = _as_general(r)
-    m = r.state_matrix
-    cA = [float(np.vdot(m, a @ m).real) for a in r.A]
-    cB = [float(np.vdot(m, m @ b.T).real) for b in r.B]
-    c = [[float(np.vdot(m, a @ m @ b.T).real) for b in r.B] for a in r.A]
+    cA, cB, c = _correlator_table(r.state_matrix, r.A, r.B)
     return CBehavior(cA=cA, cB=cB, c=c)
 
 
-def conditional_states(r, side: str, setting: int) -> ConditionalStates:
-    """States held by one party conditioned on the other party's outcome.
-
-    ``side='B'`` gives Bob's states conditioned on Alice measuring setting
-    ``setting``; ``side='A'`` the mirror image.
-    """
+def _simulate(r) -> tuple[CBehavior, DBehavior]:
+    """Both behaviors: the correlators once, and one reduced state and one
+    eigendecomposition per side for both of its squared biases."""
     r = _as_general(r)
-    m = r.state_matrix
-    if side == "B":
-        obs = r.A[setting]
-        eye = np.eye(r.dimA)
-        amp_p = ((eye + obs) / 2.0) @ m
-        amp_m = ((eye - obs) / 2.0) @ m
-        rho_p = amp_p.T @ amp_p.conj()
-        rho_m = amp_m.T @ amp_m.conj()
-    elif side == "A":
-        obs = r.B[setting]
-        eye = np.eye(r.dimB)
-        amp_p = m @ (((eye + obs) / 2.0).T)
-        amp_m = m @ (((eye - obs) / 2.0).T)
-        rho_p = amp_p @ amp_p.conj().T
-        rho_m = amp_m @ amp_m.conj().T
-    else:
-        raise ValueError("side must be 'A' or 'B'")
-    rho = rho_p + rho_m
-    evals, evecs = np.linalg.eigh(rho)
-    overlaps = evecs.conj().T @ (rho_p - rho_m) @ evecs
-    return ConditionalStates(
-        rhoPlus=freeze(rho_p, dtype=complex),
-        rhoMinus=freeze(rho_m, dtype=complex),
-        rhoSum=freeze(rho, dtype=complex),
-        eigenvalues=freeze(evals),
-        overlaps=freeze(overlaps, dtype=complex),
+    cA, cB, c = _correlator_table(r.state_matrix, r.A, r.B)
+    return CBehavior(cA=cA, cB=cB, c=c), DBehavior(
+        deltaB=_squared_biases(*_side(r, "B")),
+        deltaA=_squared_biases(*_side(r, "A")),
+        c=c,
     )
 
 
-def guessing_bias(r, side: str, setting: int, cutoff: float = SUPPORT_CUTOFF) -> float:
+def guessing_bias(r, side: str, setting: int) -> float:
     """Optimal bias of guessing the remote outcome, closed form.
 
-    Evaluates D^2 = sum_{kk'} 2|a_kk'|^2 / (m_k + m_k') over the pairs of
-    reduced-state eigenvalues with m_k + m_k' > ``cutoff``, which makes the
-    formula division-safe.  A pair with one null eigenvalue stays: its term
-    is harmless, since |a_kk'|^2 <= m_k m_k'.
+    The square root of ``_squared_biases`` for the guessing party ``side``
+    and the remote setting ``setting``.
     """
-    cs = conditional_states(r, side, setting)
-    m = cs.eigenvalues
-    denom = m[:, None] + m[None, :]
-    terms = np.divide(
-        2.0 * np.abs(cs.overlaps) ** 2, denom, out=np.zeros_like(denom), where=denom > cutoff
-    )
-    return math.sqrt(max(float(np.sum(terms)), 0.0))
+    return math.sqrt(_squared_biases(*_side(r, side))[setting])
 
 
 def _hermitian_basis(k: int) -> list[np.ndarray]:
@@ -304,11 +305,11 @@ def guessing_bias_oracle(r, side: str, setting: int) -> float:
     linear solve.  Independent of :func:`guessing_bias`, which works in the
     eigenbasis of the reduced state.
     """
-    cs = conditional_states(r, side, setting)
-    keep = cs.eigenvalues > SUPPORT_CUTOFF
-    evecs = np.linalg.eigh(np.asarray(cs.rhoSum))[1][:, keep]
-    rho = evecs.conj().T @ cs.rhoSum @ evecs
-    delta = evecs.conj().T @ (cs.rhoPlus - cs.rhoMinus) @ evecs
+    rho, delta = _side(r, side)
+    evals, evecs = np.linalg.eigh(rho)
+    evecs = evecs[:, evals > SUPPORT_CUTOFF]
+    rho = evecs.conj().T @ rho @ evecs
+    delta = evecs.conj().T @ delta[setting] @ evecs
     basis = np.array(_hermitian_basis(rho.shape[0]))
     cvec = np.einsum("ab,iba->i", delta, basis).real
     q = np.einsum("ca,iab,jbc->ij", rho, basis, basis).real
@@ -317,11 +318,7 @@ def guessing_bias_oracle(r, side: str, setting: int) -> float:
 
 def simulate_dbehavior(r) -> DBehavior:
     """D-space behavior: squared guessing biases plus the joint correlators."""
-    r = _as_general(r)
-    cb = simulate_cbehavior(r)
-    deltaB = [guessing_bias(r, "B", x) ** 2 for x in range(2)]
-    deltaA = [guessing_bias(r, "A", y) ** 2 for y in range(2)]
-    return DBehavior(deltaB=deltaB, deltaA=deltaA, c=cb.c)
+    return _simulate(r)[1]
 
 
 def _pad_observable(m: np.ndarray, pad: int, sign: float) -> np.ndarray:

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .behavior import CBehavior
 from .geometry import GeometryParams, ReconstructionError, _match_geometries, reconstruct
 from .jsonio import freeze
-from .realization import GeneralRealization, simulate_cbehavior
+from .realization import GeneralRealization, _correlator_table
 from .tolerances import (
     ADDED_OBSERVABLE_TOL,
     COINCIDENT_SIN,
@@ -36,13 +37,6 @@ class DerivedOperators:
     XA: np.ndarray
     ZB: np.ndarray
     XB: np.ndarray
-
-
-@dataclass(frozen=True)
-class IsometryResult:
-    fidelity: float
-    extractedState: np.ndarray
-    junkNorm: float
 
 
 @dataclass(frozen=True)
@@ -131,8 +125,8 @@ def swap_isometry(
     chi: float,
     state: np.ndarray | None = None,
     target: np.ndarray | None = None,
-) -> IsometryResult:
-    """Run the two-ancilla swap circuit and score the extracted qubit pair.
+) -> float:
+    """Run the two-ancilla swap circuit and return the extraction fidelity.
 
     ``state`` defaults to the shared state (as a dimA x dimB matrix);
     ``target`` is the ancilla-pair state to compare against, by default
@@ -161,24 +155,19 @@ def swap_isometry(
     if out_norm2 < ZERO_NORM_SQUARED:
         raise ValueError("swap isometry produced a zero output state")
     w = out @ target.conj()
-    fidelity = float(np.sum(np.abs(w) ** 2) / out_norm2)
-    # extracted ancilla state: dominant Schmidt vector across the junk cut
-    _, _, vh = np.linalg.svd(out, full_matrices=False)
-    extracted = vh[0].conj()
-    k = int(np.argmax(np.abs(extracted)))
-    phase = extracted[k] / abs(extracted[k])
-    extracted = extracted / phase
-    return IsometryResult(fidelity=fidelity, extractedState=extracted, junkNorm=math.sqrt(out_norm2))
+    return float(np.sum(np.abs(w) ** 2) / out_norm2)
 
 
-def _expectation(m: np.ndarray, alice=None, bob=None) -> float:
-    return float(np.vdot(m, _apply(m, alice=alice, bob=bob)).real)
+def _columns(table, y: int) -> CBehavior:
+    """The behavior of {A_0, A_1, B_0, B_y}: columns 0 and y of the table."""
+    cA, cB, c = table
+    return CBehavior(cA=cA, cB=cB[[0, y]], c=c[:, [0, y]])
 
 
-def _base_geometry(r: GeneralRealization, tol: float):
+def _base_geometry(table, tol: float):
     """The base's geometry at root_tol(tol) and None, or None and the error."""
     try:
-        return reconstruct(simulate_cbehavior(r), tol=root_tol(tol)), None
+        return reconstruct(_columns(table, 1), tol=root_tol(tol)), None
     except ReconstructionError as exc:
         return None, f"base behavior fails reconstruction: {exc}"
 
@@ -197,19 +186,21 @@ def protocol_zb(ext: ExtendedRealization, tol: float = RESIDUAL_PASS) -> dict:
     """
     r = ext.base
     report: dict = {"protocol": "addedZ", "selfTested": False}
-    g, error = _base_geometry(r, tol)
+    table = _correlator_table(r.state_matrix, r.A, (*r.B, ext.B2))
+    g, error = _base_geometry(table, tol)
     if error:
         report["error"] = error
         return report
     report["geometry"] = g.to_json_dict()
-    m = r.state_matrix
+    cA, cB, c = (v.tolist() for v in table)
     c2 = math.cos(2.0 * g.chi)
+    cosA = [math.cos(t) for t in g.thetaA]
     conditions = {
-        "b2Mean": abs(_expectation(m, bob=ext.B2) - c2),
-        "a0b2": abs(_expectation(m, alice=r.A[0], bob=ext.B2) - math.cos(g.thetaA[0])),
-        "a1b2": abs(_expectation(m, alice=r.A[1], bob=ext.B2) - math.cos(g.thetaA[1])),
-        "a0Marginal": abs(_expectation(m, alice=r.A[0]) - c2 * math.cos(g.thetaA[0])),
-        "a1Marginal": abs(_expectation(m, alice=r.A[1]) - c2 * math.cos(g.thetaA[1])),
+        "b2Mean": abs(cB[2] - c2),
+        "a0b2": abs(c[0][2] - cosA[0]),
+        "a1b2": abs(c[1][2] - cosA[1]),
+        "a0Marginal": abs(cA[0] - c2 * cosA[0]),
+        "a1Marginal": abs(cA[1] - c2 * cosA[1]),
     }
     report["conditions"] = conditions
     if max(conditions.values()) > tol:
@@ -219,21 +210,21 @@ def protocol_zb(ext: ExtendedRealization, tol: float = RESIDUAL_PASS) -> dict:
     ops = DerivedOperators(ZA=derived.ZA, XA=derived.XA, ZB=ext.B2, XB=derived.XB)
     residuals = anticommutator_residual(r, ops, g)
     report["residuals"] = residuals
-    report["fidelity"] = swap_isometry(r, ops, g.chi).fidelity
+    report["fidelity"] = swap_isometry(r, ops, g.chi)
     report["selfTested"] = _self_tested(residuals, report["fidelity"], tol)
     return report
 
 
-def _added_angle(r: GeneralRealization, g: GeometryParams, b2: np.ndarray, ang_tol: float):
-    """theta^B_2 of {A_0, A_1, B_0, B_2} in g's plane and None, or None and the error.
+def _added_angle(g: GeometryParams, extended: CBehavior, ang_tol: float):
+    """theta^B_2 of the behavior of {A_0, A_1, B_0, B_2} in g's plane and None,
+    or None and the error.
 
     The geometry of the extended behavior must agree with g on chi, the
     A-angles and theta^B_0, up to a symmetry image, and B_2 must not repeat
     B_0.
     """
-    alt = GeneralRealization(dimA=r.dimA, dimB=r.dimB, psi=r.psi, A=r.A, B=(r.B[0], b2))
     try:
-        g2 = reconstruct(simulate_cbehavior(alt), tol=ang_tol)
+        g2 = reconstruct(extended, tol=ang_tol)
     except ReconstructionError as exc:
         return None, f"extended behavior fails reconstruction: {exc}"
     if abs(g.chi - g2.chi) > ang_tol:
@@ -261,20 +252,22 @@ def protocol_lemma6_pair(ext: ExtendedRealization, tol: float = RESIDUAL_PASS) -
 def protocol_chain(base: GeneralRealization, added: list, tol: float = RESIDUAL_PASS):
     """Certify extra Bob-side observables one at a time against the base pair.
 
-    Yields one paired-reconstruction report per added observable.  The base
-    is reconstructed, its operators derived, its residuals computed and its
-    swap isometry run at most once, each when an observable first needs it;
-    each observable then costs one reconstruction of its extended behavior
-    and one in-plane residual.
+    Yields one paired-reconstruction report per added observable.  All added
+    observables are validated first; every behavior is two columns of one
+    correlator table over (B_0, B_1, *added).  The base is reconstructed, its
+    operators derived, its residuals computed and its swap isometry run at
+    most once, each when an observable first needs it; each observable then
+    costs one reconstruction of its extended behavior and one in-plane residual.
     """
+    added = [ExtendedRealization(base=base, B2=b2).B2 for b2 in added]
+    table = _correlator_table(base.state_matrix, base.A, (*base.B, *added))
     ang_tol = root_tol(tol)
     g = error = ops = residuals = fidelity = None
-    for b2 in added:
-        b2 = ExtendedRealization(base=base, B2=b2).B2
+    for y, b2 in enumerate(added, start=2):
         report: dict = {"protocol": "pairedReconstruction", "selfTested": False}
         if g is None and error is None:
-            g, error = _base_geometry(base, tol)
-        theta2, rejected = (None, error) if error else _added_angle(base, g, b2, ang_tol)
+            g, error = _base_geometry(table, tol)
+        theta2, rejected = (None, error) if error else _added_angle(g, _columns(table, y), ang_tol)
         if rejected:
             report["error"] = rejected
             yield report
@@ -293,7 +286,7 @@ def protocol_chain(base: GeneralRealization, added: list, tol: float = RESIDUAL_
         report["residuals"] = {**residuals, "b2InPlane": res_pm[report["thetaB2"]]}
         report["geometry"] = g.to_json_dict()
         if fidelity is None:
-            fidelity = swap_isometry(base, ops, g.chi).fidelity
+            fidelity = swap_isometry(base, ops, g.chi)
         report["fidelity"] = fidelity
         report["selfTested"] = _self_tested(report["residuals"], fidelity, tol)
         yield report

@@ -257,10 +257,10 @@ def test_acceptance_7_self_testing():
         g = projection_angles(r)
         p = promote(r)
         ops = derive_operators(p, g)
-        worst_fid = max(worst_fid, abs(swap_isometry(p, ops, g.chi).fidelity - 1.0))
+        worst_fid = max(worst_fid, abs(swap_isometry(p, ops, g.chi) - 1.0))
         e = embed(p, unitaryA=haar_unitary(rng, 3), unitaryB=haar_unitary(rng, 3), padA=1, padB=1)
         ops_e = derive_operators(e, g)
-        worst_fid = max(worst_fid, abs(swap_isometry(e, ops_e, g.chi).fidelity - 1.0))
+        worst_fid = max(worst_fid, abs(swap_isometry(e, ops_e, g.chi) - 1.0))
         worst_resid = max(worst_resid, max(anticommutator_residual(p, ops, g).values()))
     # conforming extensions accepted
     protocols_ok = True

@@ -166,6 +166,36 @@ def test_crypt_membership_on_planar_realizations():
         assert crypt_membership(d, 1e-9)
 
 
+def _near_saturation(rng):
+    """Two-qubit points with one scaled correlator of side A within 1e-9 to
+    1e-7 of +/-1: thetaB_0 = atan(tan thetaA_0 / sin 2chi) + k pi, offset."""
+    thetaA = rng.uniform(0.0, 2.0 * math.pi, 2)
+    chi = rng.uniform(0.01, math.pi / 4 - 0.01)
+    thetaB0 = math.atan(math.tan(thetaA[0]) / math.sin(2.0 * chi)) + math.pi * rng.integers(2)
+    thetaB0 += rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-9.0, -7.0)
+    return TwoQubitRealization(
+        thetaA=thetaA, thetaB=[thetaB0, rng.uniform(0.0, 2.0 * math.pi)], chi=chi
+    )
+
+
+def test_crypt_membership_near_saturated_scaled_correlators():
+    # the boundary gap of a scaled correlator near +/-1 is computed from a
+    # rounded c~, so it is off from its exact value 0 by up to about
+    # sqrt(ulp); tested at plain tol, 373 of these 2000 points fell out
+    # (worst -2.5e-8)
+    rng = np.random.default_rng(3)
+    worst, rejected = 0.0, []
+    for _ in range(2000):
+        r = _near_saturation(rng)
+        d = simulate_dbehavior(r)
+        gaps = crypt_gaps(d)
+        worst = min(worst, gaps["tlmA"], gaps["tlmB"])
+        if not crypt_membership(d):
+            rejected.append((r.thetaA, r.thetaB, r.chi, gaps))
+    assert rejected == []
+    assert worst < -1e-9  # the family reaches past plain tol
+
+
 def test_crypt_gaps_saturated_at_reference_point():
     r = TwoQubitRealization(thetaA=[0.0, math.pi / 2], thetaB=[1e-9, -math.pi / 4], chi=math.pi / 12)
     gaps = crypt_gaps(simulate_dbehavior(r))

@@ -1,4 +1,4 @@
-"""The loop-free geometry kernels against frozen copies of the per-call code.
+"""The loop-free kernels against frozen copies of the per-call code.
 
 The branch table, the saturation gaps, the reconstruction, the symmetry
 match, the hyperplane pair and the uniqueness check were each rebuilt from
@@ -6,6 +6,10 @@ fewer, batched numpy calls, sharing one branch table per ``check``.  The
 copies below are the implementations they replaced, kept verbatim apart
 from names.  On seeded draws that reach every branch, every result must be
 bit for bit the same, and every error the same type with the same message.
+
+The simulation of general realizations was rebuilt on one reduced state
+and one eigendecomposition per side.  Its correlators must equal the
+frozen ones bit for bit and its guessing biases must agree to 1e-14.
 """
 
 import math
@@ -43,11 +47,20 @@ from bellgeo.qbell import (
 )
 from bellgeo.jsonio import freeze
 from bellgeo.realization import (
+    SIGMA3,
+    GeneralRealization,
     TwoQubitRealization,
+    embed,
+    guessing_bias,
+    haar_unitary,
+    promote,
     random_two_qubit,
     simulate_cbehavior,
+    simulate_dbehavior,
     two_qubit_correlators,
+    xz_observable,
 )
+from bellgeo.selftest import ExtendedRealization, protocol_chain, protocol_zb
 from bellgeo.tolerances import (
     DEFAULT_TOL,
     DEGENERATE_SIN,
@@ -59,6 +72,7 @@ from bellgeo.tolerances import (
     ROOT_RESIDUAL,
     ROOT_SEPARATION,
     ROUNDING_ZERO,
+    SUPPORT_CUTOFF,
     root_tol,
 )
 from realizations import random_conforming
@@ -380,6 +394,48 @@ def _ref_uniqueness_check(g):
     return UniquenessReport(trivialOnly=trivial_only, solutions=tuple(solutions))
 
 
+# -- frozen copies: realization -----------------------------------------------
+
+
+def _ref_simulate_cbehavior(r):
+    m = r.state_matrix
+    cA = [float(np.vdot(m, a @ m).real) for a in r.A]
+    cB = [float(np.vdot(m, m @ b.T).real) for b in r.B]
+    c = [[float(np.vdot(m, a @ m @ b.T).real) for b in r.B] for a in r.A]
+    return CBehavior(cA=cA, cB=cB, c=c)
+
+
+def _ref_conditional_states(r, side, setting):
+    m = r.state_matrix
+    if side == "B":
+        obs = r.A[setting]
+        eye = np.eye(r.dimA)
+        amp_p = ((eye + obs) / 2.0) @ m
+        amp_m = ((eye - obs) / 2.0) @ m
+        rho_p = amp_p.T @ amp_p.conj()
+        rho_m = amp_m.T @ amp_m.conj()
+    else:
+        obs = r.B[setting]
+        eye = np.eye(r.dimB)
+        amp_p = m @ (((eye + obs) / 2.0).T)
+        amp_m = m @ (((eye - obs) / 2.0).T)
+        rho_p = amp_p @ amp_p.conj().T
+        rho_m = amp_m @ amp_m.conj().T
+    rho = rho_p + rho_m
+    evals, evecs = np.linalg.eigh(rho)
+    overlaps = evecs.conj().T @ (rho_p - rho_m) @ evecs
+    return evals, overlaps
+
+
+def _ref_guessing_bias(r, side, setting, cutoff=SUPPORT_CUTOFF):
+    m, overlaps = _ref_conditional_states(r, side, setting)
+    denom = m[:, None] + m[None, :]
+    terms = np.divide(
+        2.0 * np.abs(overlaps) ** 2, denom, out=np.zeros_like(denom), where=denom > cutoff
+    )
+    return math.sqrt(max(float(np.sum(terms)), 0.0))
+
+
 # -- comparison ----------------------------------------------------------------
 
 
@@ -544,3 +600,70 @@ def test_gap_kernel_matches_frozen_reference():
             assert list(got) == list(want)
             for key in got:
                 assert got[key].tobytes() == want[key].tobytes(), key
+
+
+def _general_draws(rng):
+    """Two-qubit realizations at chi in {0, 1e-12, 1e-6, 1e-5} and at random
+    chi, padded with +/-I to dimensions 2-4 and Haar-rotated on both sides."""
+    for k in range(600):
+        chi = [0.0, 1e-12, 1e-6, 1e-5, float(rng.uniform(0.0, math.pi / 4))][k % 5]
+        tA, tB = rng.uniform(0.0, 2.0 * math.pi, size=(2, 2))
+        dimA, dimB = (int(d) for d in rng.integers(2, 5, size=2))
+        yield embed(
+            promote(TwoQubitRealization(thetaA=tA, thetaB=tB, chi=chi)),
+            unitaryA=haar_unitary(rng, dimA),
+            unitaryB=haar_unitary(rng, dimB),
+            padA=dimA - 2,
+            padB=dimB - 2,
+            pad_sign=float(rng.choice([1.0, -1.0])),
+        )
+
+
+def test_simulation_matches_frozen_reference():
+    worst = 0.0
+    for r in _general_draws(np.random.default_rng(22)):
+        ref = _ref_simulate_cbehavior(r)
+        b, d = simulate_cbehavior(r), simulate_dbehavior(r)
+        for got in (b.c, d.c):
+            assert got.tobytes() == ref.c.tobytes()
+        assert b.cA.tobytes() == ref.cA.tobytes() and b.cB.tobytes() == ref.cB.tobytes()
+        for side, deltas in (("B", d.deltaB), ("A", d.deltaA)):
+            for setting in range(2):
+                want = _ref_guessing_bias(r, side, setting)
+                worst = max(
+                    worst,
+                    abs(guessing_bias(r, side, setting) - want),
+                    abs(deltas[setting] - want**2),
+                )
+    assert worst <= 1e-14, worst
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    inner = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_simulation_and_protocols_do_the_work_once(monkeypatch):
+    rng = np.random.default_rng(23)
+    r = next(_general_draws(rng))
+    base = promote(two_qubit_of(random_conforming(rng)))
+    eigh = _count_calls(monkeypatch, np.linalg, "eigh")
+    simulate_cbehavior(r)
+    assert len(eigh) == 0
+    simulate_dbehavior(r)
+    assert len(eigh) == 2
+    built = _count_calls(monkeypatch, GeneralRealization, "__post_init__")
+    added = [xz_observable(t) for t in rng.uniform(0.0, 2.0 * math.pi, 3)]
+    ext = ExtendedRealization(base=base, B2=SIGMA3)
+    assert protocol_zb(ext)["selfTested"]
+    reports = list(protocol_chain(base, added))
+    # the chain reached the extended reconstructions
+    assert all("base behavior" not in report.get("error", "") for report in reports)
+    assert built == []

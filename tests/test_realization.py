@@ -6,7 +6,7 @@ import pytest
 from bellgeo.realization import (
     GeneralRealization,
     TwoQubitRealization,
-    conditional_states,
+    _conditional,
     embed,
     guessing_bias,
     guessing_bias_oracle,
@@ -136,12 +136,15 @@ def test_bias_oracle_agrees_with_closed_form():
 def test_conditional_states_are_physical():
     for _ in range(30):
         r = random_general(RNG, 3, 2)
-        cs = conditional_states(r, "A", 1)
-        for rho in (cs.rhoPlus, cs.rhoMinus):
-            evals = np.linalg.eigvalsh(rho)
-            assert evals.min() > -1e-12
-        assert np.trace(cs.rhoSum).real == pytest.approx(1.0, abs=1e-12)
-        assert np.abs(cs.rhoSum - cs.rhoSum.conj().T).max() < 1e-14
+        m = r.state_matrix
+        # Bob's states conditioned on Alice's outcomes, then Alice's on Bob's
+        for rho, delta in (_conditional(m, r.A), _conditional(m.T, r.B)):
+            assert delta.shape == (2,) + rho.shape
+            assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+            assert np.abs(rho - rho.conj().T).max() < 1e-14
+            for sign in (1.0, -1.0):
+                evals = np.linalg.eigvalsh((rho + sign * delta) / 2.0)
+                assert evals.min() > -1e-12
 
 
 def test_embed_preserves_both_behaviors():
