@@ -4,13 +4,11 @@ from .behavior import (
     CBehavior,
     DBehavior,
     InvalidBehaviorError,
-    ProbabilityTable,
     chsh_values,
     chsh_values_batch,
     is_local,
     is_valid,
     mix,
-    to_probabilities,
 )
 from .criteria import (
     ExtremalVerdict,
@@ -44,7 +42,6 @@ from .qbell import (
     construct_pair,
     evaluate,
     uniqueness_check,
-    verify_cryptographic_chain,
 )
 from .realization import (
     GeneralRealization,

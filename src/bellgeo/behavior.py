@@ -11,7 +11,7 @@ attempts to convert a D-space point back to C-space.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -77,58 +77,17 @@ class DBehavior(Record):
         return np.concatenate([self.deltaB, self.deltaA, self.c.ravel()])
 
 
-@dataclass(frozen=True)
-class ProbabilityTable:
-    """Conditional probabilities p(ab|xy), indexed [a, b, x, y].
-
-    Outcome index 0 stands for +1 and index 1 for -1.
-    """
-
-    p: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", freeze(self.p, (2, 2, 2, 2), name="p"))
-
-    def correlators(self) -> CBehavior:
-        """Extract the behavior back from the table (round-trip check)."""
-        sign = np.array([1.0, -1.0])
-        # marginals are y-independent for no-signaling tables; average for robustness
-        cA = np.einsum("a,abxy->xy", sign, self.p).mean(axis=1)
-        cB = np.einsum("b,abxy->yx", sign, self.p).mean(axis=1)
-        c = np.einsum("a,b,abxy->xy", sign, sign, self.p)
-        return CBehavior(cA=cA, cB=cB, c=c)
-
-    def no_signaling_residual(self) -> float:
-        """Largest deviation from normalization or no-signaling."""
-        norm = np.abs(self.p.sum(axis=(0, 1)) - 1.0).max()
-        margA = self.p.sum(axis=1)  # (a, x, y)
-        margB = self.p.sum(axis=0)  # (b, x, y)
-        ns = max(
-            np.abs(margA[:, :, 0] - margA[:, :, 1]).max(),
-            np.abs(margB[:, 0, :] - margB[:, 1, :]).max(),
-        )
-        return float(max(norm, ns))
-
-
-def to_probabilities(b: CBehavior) -> ProbabilityTable:
-    """Expand a behavior into the probability table of the no-signaling form.
-
-    May produce negative entries for non-physical behaviors; callers check
-    validity separately.
-    """
-    sign = np.array([1.0, -1.0])
-    a = sign[:, None, None, None]
-    bb = sign[None, :, None, None]
-    cA = b.cA[None, None, :, None]
-    cB = b.cB[None, None, None, :]
-    c = b.c[None, None, :, :]
-    p = 0.25 * (1.0 + a * cA + bb * cB + a * bb * c)
-    return ProbabilityTable(p=p)
+#: Outcome signs a and b of the entries p(ab|xy), broadcast to the [a, b, x, y]
+#: index order.
+_SIGN_A = np.array([1.0, -1.0]).reshape(2, 1, 1, 1)
+_SIGN_B = _SIGN_A.reshape(1, 2, 1, 1)
 
 
 def is_valid(b: CBehavior, tol: float = DEFAULT_TOL) -> bool:
-    """True iff every probability of the expanded table is >= -tol."""
-    return bool(to_probabilities(b).p.min() >= -tol)
+    """True iff every probability p(ab|xy) = (1 + a cA_x + b cB_y + ab C_xy) / 4
+    of the no-signaling table is >= -tol."""
+    p = 0.25 * (1.0 + _SIGN_A * b.cA[:, None] + _SIGN_B * b.cB + _SIGN_A * _SIGN_B * b.c)
+    return bool(p.min() >= -tol)
 
 
 def chsh_values_batch(c: np.ndarray) -> np.ndarray:
@@ -168,16 +127,11 @@ def mix(behaviors, weights, tol: float = DEFAULT_TOL):
     kind = type(behaviors[0])
     if any(type(b) is not kind for b in behaviors):
         raise TypeError("cannot mix behaviors of different types")
-    if kind is CBehavior:
-        return CBehavior(
-            cA=sum(wi * b.cA for wi, b in zip(w, behaviors)),
-            cB=sum(wi * b.cB for wi, b in zip(w, behaviors)),
-            c=sum(wi * b.c for wi, b in zip(w, behaviors)),
-        )
-    if kind is DBehavior:
-        return DBehavior(
-            deltaB=sum(wi * b.deltaB for wi, b in zip(w, behaviors)),
-            deltaA=sum(wi * b.deltaA for wi, b in zip(w, behaviors)),
-            c=sum(wi * b.c for wi, b in zip(w, behaviors)),
-        )
-    raise TypeError(f"unsupported behavior type {kind!r}")
+    if kind not in (CBehavior, DBehavior):
+        raise TypeError(f"unsupported behavior type {kind!r}")
+    return kind(
+        **{
+            f.name: sum(wi * getattr(b, f.name) for wi, b in zip(w, behaviors))
+            for f in fields(kind)
+        }
+    )

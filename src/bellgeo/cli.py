@@ -382,8 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help, needs_input=True, tol=True):
+    def command(name, handler, help, needs_input=True, tol=True):
         p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
         if needs_input:
             p.add_argument("--input", "-i", help="path, '-' for stdin, or inline JSON")
         p.add_argument("--output", "-o", help="output path (default stdout)")
@@ -391,46 +392,48 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--tol", type=float, default=None, help="tolerance override")
         return p
 
-    command("simulate", "behaviors of a realization", tol=False)
-    command("check", "extremality / membership criteria")
-    command("geometry", "reconstruct the planar geometry")
-    command("qbell", "quantum Bell pair and uniqueness")
-    command("selftest", "run a self-testing protocol")
-    ce = command("counterexample", "local-but-not-quantum extrapolation", needs_input=False)
+    command("simulate", cmd_simulate, "behaviors of a realization", tol=False)
+    command("check", cmd_check, "extremality / membership criteria")
+    command("geometry", cmd_geometry, "reconstruct the planar geometry")
+    command("qbell", cmd_qbell, "quantum Bell pair and uniqueness")
+    command("selftest", cmd_selftest, "run a self-testing protocol")
+    ce = command(
+        "counterexample", cmd_counterexample, "local-but-not-quantum extrapolation",
+        needs_input=False,
+    )
     ce.add_argument("--format", choices=("json", "csv"), default="json")
     ce.add_argument("--epsilon", type=float, default=0.01)
     ce.add_argument("--samples", type=int, default=61, help="points per boundary curve")
-    sw = command("sweep", "randomized or grid CSV datasets", needs_input=False)
+    sw = command("sweep", cmd_sweep, "randomized or grid CSV datasets", needs_input=False)
     sw.add_argument("--seed", type=int, default=0)
     sw.add_argument("--samples", type=int, default=100)
     sw.add_argument("--mode", choices=("random", "chi-grid"), default="random")
     return parser
 
 
+def _resolve_tol(args):
+    """``--tol``, else ``NONLOC_TOL``, else the subcommand's default; a NaN,
+    infinite or negative value from the flag or the variable is an error."""
+    source = "--tol"
+    if args.tol is None:
+        env = os.environ.get("NONLOC_TOL")
+        if env:
+            source, args.tol = "NONLOC_TOL", float(env)
+        else:
+            args.tol = RESIDUAL_PASS if args.command == "selftest" else DEFAULT_TOL
+    if not 0.0 <= args.tol < math.inf:
+        raise CliError(f"{source}={args.tol} must be finite and nonnegative")
+
+
 def main(argv=None) -> int:
-    handlers = {
-        "simulate": cmd_simulate,
-        "check": cmd_check,
-        "geometry": cmd_geometry,
-        "qbell": cmd_qbell,
-        "selftest": cmd_selftest,
-        "counterexample": cmd_counterexample,
-        "sweep": cmd_sweep,
-    }
     try:
         args = build_parser().parse_args(argv)
-        if "tol" in args and args.tol is None:
-            env = os.environ.get("NONLOC_TOL")
-            default = RESIDUAL_PASS if args.command == "selftest" else DEFAULT_TOL
-            args.tol = float(env) if env else default
-        return handlers[args.command](args)
-    except CliError as exc:
+        if "tol" in args:
+            _resolve_tol(args)
+        return args.handler(args)
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR
-    except (ValueError, behavior.InvalidBehaviorError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return ERROR
-
 
 if __name__ == "__main__":
     sys.exit(main())

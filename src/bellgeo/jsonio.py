@@ -157,7 +157,6 @@ _DECODERS = {
     "int": integer,
     "str": string,
     "np.ndarray": real_array,
-    "tuple": real_array,
 }
 
 

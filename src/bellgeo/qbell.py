@@ -2,9 +2,9 @@
 
 For a planar geometry this module constructs the pair of hyperplane
 inequalities (one per side) that the geometry saturates simultaneously,
-evaluates them on guessing-bias behaviors, verifies the two-step bound
-chain they descend from, and decides whether the constructed pair pins
-the geometry down uniquely.
+evaluates them on guessing-bias behaviors, gives the slacks of the
+two-step bound chain they descend from, and decides whether the
+constructed pair pins the geometry down uniquely.
 """
 
 from __future__ import annotations
@@ -17,9 +17,7 @@ import numpy as np
 from .behavior import SIGN_PATTERNS, DBehavior
 from .geometry import GeometryParams, d_values
 from .jsonio import Record, freeze
-from .realization import _simulate, two_qubit_behaviors
 from .tolerances import (
-    DEFAULT_TOL,
     DEGENERATE_SIN,
     ORIENTATION_SLACK,
     RANK_TOL,
@@ -27,7 +25,6 @@ from .tolerances import (
     ROOT_RESIDUAL,
     ROOT_SEPARATION,
     ROUNDING_ZERO,
-    root_tol,
 )
 
 
@@ -186,32 +183,6 @@ def chain_slacks(
         "slackCrypt": middle - value,
         "slackQuadratic": ineq.bound - middle,
     }
-
-
-def verify_cryptographic_chain(g: GeometryParams, r, tol: float = DEFAULT_TOL) -> dict:
-    """Evaluate the bound chain of g's pair on a realization's behavior.
-
-    The realization must reproduce the geometry's behaviors; both slacks then vanish.
-    """
-    ineqB, ineqA, (coeffB, coeffA) = construct_pair(g)
-    ref = two_qubit_behaviors(g.thetaA, g.thetaB, g.chi)
-    got, d = _simulate(r)
-    mismatch = max(np.abs(getattr(ref, f) - getattr(got, f)).max() for f in ("cA", "cB", "c"))
-    if mismatch > root_tol(tol):
-        raise ValueError(f"realization behavior differs from geometry by {mismatch}")
-    return {
-        "B": chain_slacks(ineqB, coeffB, d),
-        "A": chain_slacks(ineqA, coeffA, d),
-    }
-
-
-def recovered_d_squared(coeff: QBellCoefficients, q: float, t: float) -> tuple[float, float]:
-    """Squared biases determined by the coefficients and an angle cosine t."""
-    al, be = coeff.alpha, coeff.beta
-    denom = al + 1.0 / al + be + 1.0 / be
-    d0 = (al + 1.0 / al + 2.0 * t) / (4.0 * (coeff.s[0] * q) ** 2 * denom)
-    d1 = (be + 1.0 / be - 2.0 * t) / (4.0 * (coeff.s[1] * q) ** 2 * denom)
-    return float(d0), float(d1)
 
 
 def _ratio_coefficients(u: np.ndarray, t_ref) -> tuple[np.ndarray, np.ndarray]:

@@ -20,18 +20,20 @@ def tsirelson_realization():
     )
 
 
-def random_conforming(rng):
-    """The geometry of a random partially entangled realization, chi in
-    [0.05, pi/4 - 0.05], whose planar picture is orientable and admits the
-    hyperplane pair."""
+def random_conforming(rng, chi_margin=0.05, pair=True):
+    """A random partially entangled realization, chi in [chi_margin,
+    pi/4 - chi_margin], whose planar picture is orientable and, with
+    ``pair``, whose geometry admits the hyperplane pair."""
     while True:
         r = random_two_qubit(rng)
-        if not 0.05 <= r.chi <= math.pi / 4 - 0.05:
+        if not chi_margin <= r.chi <= math.pi / 4 - chi_margin:
             continue
         g = projection_angles(r)
-        if sign_condition_ok(g):
+        if not sign_condition_ok(g):
+            continue
+        if pair:
             try:
                 construct_pair(g)
             except DegenerateGeometryError:
                 continue
-            return g
+        return r

@@ -135,7 +135,7 @@ def test_acceptance_4_quantum_bell_construction():
     worst_ident = 0.0
     pairs = []
     for _ in range(20):
-        g = random_conforming(rng)
+        g = projection_angles(random_conforming(rng))
         ineqB, ineqA, coeffs = construct_pair(g)
         d = simulate_dbehavior(promote(TwoQubitRealization(thetaA=g.thetaA, thetaB=g.thetaB, chi=g.chi)))
         worst_sat = max(
@@ -182,7 +182,7 @@ def test_acceptance_5_uniqueness():
     reports = [(g_ref, uniqueness_check(g_ref))]
     checked = 0
     while checked < 20:
-        g = random_conforming(rng)
+        g = projection_angles(random_conforming(rng))
         try:
             reports.append((g, uniqueness_check(g)))
         except DegenerateGeometryError:

@@ -13,7 +13,6 @@ from bellgeo.behavior import (
     is_local,
     is_valid,
     mix,
-    to_probabilities,
 )
 from bellgeo.realization import random_two_qubit, simulate_cbehavior
 
@@ -51,37 +50,26 @@ def is_local_lp(b: CBehavior) -> bool:
     return res.status == 0
 
 
-def test_probability_expansion_round_trip():
-    for _ in range(100):
-        b = random_cbehavior(RNG)
-        back = to_probabilities(b).correlators()
-        assert np.abs(back.flat() - b.flat()).max() < 1e-12
+def test_is_valid_pins_the_probability_formula():
+    """Validity is min_abxy (1 + a cA_x + b cB_y + ab C_xy) / 4 >= -tol.
 
-
-def test_probability_table_no_signaling_exact():
-    for _ in range(50):
-        b = random_cbehavior(RNG)
-        assert to_probabilities(b).no_signaling_residual() < 1e-12
-
-
-def test_uniform_behavior_probabilities():
-    b = CBehavior(cA=[0, 0], cB=[0, 0], c=np.zeros((2, 2)))
-    assert np.abs(to_probabilities(b).p - 0.25).max() == 0.0
-
-
-def test_deterministic_marginal_probabilities():
-    b = CBehavior(cA=[1.0, 0.0], cB=[0.0, 0.0], c=np.zeros((2, 2)))
-    p = to_probabilities(b).p
-    assert np.abs(p[0, :, 0, :] - 0.5).max() < 1e-15
-    assert np.abs(p[1, :, 0, :]).max() < 1e-15
-
-
-def test_tsirelson_probability_value():
-    p = to_probabilities(tsirelson_behavior()).p
-    # equal outcomes at the (0,0) settings
-    expected = 0.25 * (1.0 + 1.0 / math.sqrt(2.0))
-    assert p[0, 0, 0, 0] == pytest.approx(expected, abs=1e-12)
-    assert p[1, 1, 0, 0] == pytest.approx(expected, abs=1e-12)
+    Each deterministic vertex has every probability 0 or 1, so it is valid at
+    tol = 0, and moving any one coordinate off it by 1e-6 (toward 0, the only
+    way the constructor allows) drives one probability to -2.5e-7.  The
+    scaled Tsirelson behavior t * C_T, whose smallest probability is
+    (1 - t / sqrt(2)) / 4, switches at t = sqrt(2).
+    """
+    for v in local_vertices():
+        assert is_valid(CBehavior(cA=v[:2], cB=v[2:4], c=v[4:].reshape(2, 2)), tol=0.0)
+        for k in range(8):
+            w = v.copy()
+            w[k] -= 1e-6 * w[k]
+            assert not is_valid(CBehavior(cA=w[:2], cB=w[2:4], c=w[4:].reshape(2, 2)))
+    c_t = tsirelson_behavior().c
+    for t, valid in ((0.0, True), (1.0, True), (math.sqrt(2.0) * (1.0 - 1e-12), True),
+                     (math.sqrt(2.0) * (1.0 + 1e-10), False)):
+        b = CBehavior(cA=[0.0, 0.0], cB=[0.0, 0.0], c=t * c_t)
+        assert is_valid(b, tol=0.0) is valid
 
 
 def test_validity_examples():

@@ -429,7 +429,7 @@ def _candidate_jsons(n):
     rng = np.random.default_rng(190)
     found = []
     while len(found) < n:
-        r = geometry.two_qubit_of(random_conforming(rng))
+        r = random_conforming(rng)
         b = simulate_cbehavior(r)
         if not behavior.is_local(b) and criteria.extremal_criterion(b).conjecture1Candidate:
             found.append(r.to_json())
@@ -641,6 +641,43 @@ def test_tol_env_variable_reaches_selftest(monkeypatch, capsys):
     assert main(["selftest", "-i", req]) == 2
     assert main(["selftest", "-i", req, "--tol", "1e-7"]) == 0
     capsys.readouterr()
+
+
+TOL_COMMANDS = {
+    "check": ["check", "-i", json.dumps(README_REALIZATION)],
+    "sweep": ["sweep", "--samples", "3"],
+    "selftest": ["selftest", "-i", json.dumps({"base": README_REALIZATION, "thetaB2": 0.3})],
+}
+
+
+def _with_tol(monkeypatch, argv, source, value):
+    """``argv`` with the tolerance ``value`` given by ``--tol`` or ``NONLOC_TOL``."""
+    if source == "--tol":
+        monkeypatch.delenv("NONLOC_TOL", raising=False)
+        return argv + ["--tol", value]
+    monkeypatch.setenv("NONLOC_TOL", value)
+    return argv
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("source", ["--tol", "NONLOC_TOL"])
+@pytest.mark.parametrize("command", sorted(TOL_COMMANDS))
+def test_nonfinite_or_negative_tol_is_one_error_line(monkeypatch, capsys, command, source, value):
+    # a NaN tolerance used to pass every gap and fail every comparison: check
+    # called the README realization invalid, sweep printed cryptMember 0 on
+    # every row and selftest reported a reconstruction failure
+    assert main(_with_tol(monkeypatch, TOL_COMMANDS[command], source, value)) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(err) == 1 and err[0].startswith(f"error: {source}="), err
+    assert "finite and nonnegative" in err[0]
+
+
+@pytest.mark.parametrize("source", ["--tol", "NONLOC_TOL"])
+def test_zero_tol_is_accepted(monkeypatch, capsys, source):
+    assert main(_with_tol(monkeypatch, TOL_COMMANDS["sweep"], source, "0")) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(

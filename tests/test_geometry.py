@@ -22,18 +22,9 @@ from bellgeo.realization import (
     simulate_cbehavior,
     xz_observable,
 )
+from realizations import random_conforming
 
 RNG = np.random.default_rng(20240814)
-
-
-def random_conforming(rng, chi_min=0.03, chi_max=math.pi / 4 - 0.03):
-    """Rejection-sample a realization whose planar picture is orientable."""
-    while True:
-        r = random_two_qubit(rng)
-        if not chi_min <= r.chi <= chi_max:
-            continue
-        if sign_condition_ok(projection_angles(r)):
-            return r
 
 
 def test_projection_angle_named_cases():
@@ -91,7 +82,7 @@ def test_observable_overlap_matches_angle_difference():
 def test_reconstruction_round_trip():
     rng = np.random.default_rng(271828)
     for _ in range(50):
-        r = random_conforming(rng)
+        r = random_conforming(rng, chi_margin=0.03, pair=False)
         g = reconstruct(simulate_cbehavior(r), tol=1e-7)
         assert symmetry_equivalent(g, projection_angles(r), tol=1e-7)
 
@@ -108,7 +99,7 @@ def test_reconstruction_reference_point():
 def test_reconstruction_canonical_representative():
     rng = np.random.default_rng(5)
     for _ in range(20):
-        r = random_conforming(rng)
+        r = random_conforming(rng, chi_margin=0.03, pair=False)
         g = reconstruct(simulate_cbehavior(r), tol=1e-7)
         assert math.sin(g.thetaA[0]) >= -1e-7
 
@@ -131,7 +122,7 @@ def test_reconstruction_rejects_generic_behavior():
 
 def test_reconstruction_rejects_interior_point():
     # a planar realization mixed toward the uniform point leaves the boundary
-    r = random_conforming(np.random.default_rng(17))
+    r = random_conforming(np.random.default_rng(17), chi_margin=0.03, pair=False)
     b = simulate_cbehavior(r)
     shrunk = CBehavior(cA=0.9 * np.asarray(b.cA), cB=0.9 * np.asarray(b.cB), c=0.9 * np.asarray(b.c))
     with pytest.raises(ReconstructionError):
@@ -139,7 +130,7 @@ def test_reconstruction_rejects_interior_point():
 
 
 def test_symmetry_transforms_preserve_behavior_and_biases():
-    r = random_conforming(np.random.default_rng(23))
+    r = random_conforming(np.random.default_rng(23), chi_margin=0.03, pair=False)
     g = projection_angles(r)
     b = simulate_cbehavior(r)
     dB, dA = d_values(g)

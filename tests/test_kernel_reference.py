@@ -35,7 +35,6 @@ from bellgeo.geometry import (
     projection_angles,
     reconstruct,
     symmetry_transforms,
-    two_qubit_of,
 )
 from bellgeo.qbell import (
     DegenerateGeometryError,
@@ -474,7 +473,7 @@ def _draws(rng):
         kind = k % 5
         if kind == 0:
             # conforming: a boundary behavior of a partially entangled realization
-            r = two_qubit_of(random_conforming(rng))
+            r = random_conforming(rng)
             yield "conforming", r, simulate_cbehavior(r)
         elif kind == 1:
             r = random_two_qubit(rng)
@@ -495,7 +494,7 @@ def _draws(rng):
             yield "maxEntangled", r, simulate_cbehavior(r)
         elif kind == 3:
             # one side's two angles nearly coincide: sin(theta_0 - theta_1) -> 0
-            g = random_conforming(rng)
+            g = projection_angles(random_conforming(rng))
             theta = np.array([g.thetaA, g.thetaB])
             side = int(rng.integers(2))
             theta[side, 1] = theta[side, 0] + float(rng.choice([1e-13, -1e-12, 1e-10, 1e-7]))
@@ -567,7 +566,7 @@ def test_negative_discriminant_errors_match_at_each_tolerance():
     rng = np.random.default_rng(20)
     tally = set()
     for _ in range(300):
-        r = two_qubit_of(random_conforming(rng))
+        r = random_conforming(rng)
         b0 = simulate_cbehavior(r)
         s = float(rng.choice([1e-9, 1e-7, 1e-5, 1e-4]))
         # one side's marginals scaled up, so either side's range test can bind
@@ -653,7 +652,7 @@ def _count_calls(monkeypatch, owner, name):
 def test_simulation_and_protocols_do_the_work_once(monkeypatch):
     rng = np.random.default_rng(23)
     r = next(_general_draws(rng))
-    base = promote(two_qubit_of(random_conforming(rng)))
+    base = promote(random_conforming(rng))
     eigh = _count_calls(monkeypatch, np.linalg, "eigh")
     simulate_cbehavior(r)
     assert len(eigh) == 0

@@ -19,9 +19,7 @@ from bellgeo.qbell import (
     chain_slacks,
     construct_pair,
     evaluate,
-    recovered_d_squared,
     uniqueness_check,
-    verify_cryptographic_chain,
 )
 from bellgeo.realization import (
     TwoQubitRealization,
@@ -58,7 +56,7 @@ def test_tsirelson_inequality_shape():
 def test_coefficient_identities():
     rng = np.random.default_rng(77)
     for _ in range(20):
-        g = random_conforming(rng)
+        g = projection_angles(random_conforming(rng))
         for ineq, coeff in zip(construct_pair(g)[:2], construct_pair(g)[2]):
             u, s = np.asarray(coeff.u), np.asarray(coeff.s)
             vmarg, vcorr = np.asarray(ineq.Vmarg), np.asarray(ineq.Vcorr)
@@ -80,32 +78,16 @@ def test_coefficient_identities():
 def test_saturation_on_random_conforming_geometries():
     rng = np.random.default_rng(88)
     for _ in range(20):
-        g = random_conforming(rng)
+        g = projection_angles(random_conforming(rng))
         ineqB, ineqA, _ = construct_pair(g)
         d = simulate_dbehavior(two_qubit_of(g))
         assert evaluate(ineqB, d) == pytest.approx(ineqB.bound, abs=1e-9)
         assert evaluate(ineqA, d) == pytest.approx(ineqA.bound, abs=1e-9)
 
 
-def test_recovered_d_squared_matches_geometry():
-    rng = np.random.default_rng(99)
-    for _ in range(20):
-        g = random_conforming(rng)
-        from bellgeo.geometry import d_values
-
-        dB, dA = d_values(g)
-        ineqB, ineqA, (coeffB, coeffA) = construct_pair(g)
-        d0, d1 = recovered_d_squared(coeffB, ineqB.q, math.cos(coeffB.dthetaRef))
-        assert d0 == pytest.approx(dB[0], abs=1e-9)
-        assert d1 == pytest.approx(dB[1], abs=1e-9)
-        a0, a1 = recovered_d_squared(coeffA, ineqA.q, math.cos(coeffA.dthetaRef))
-        assert a0 == pytest.approx(dA[0], abs=1e-9)
-        assert a1 == pytest.approx(dA[1], abs=1e-9)
-
-
 def test_bounds_respected_by_random_realizations():
     rng = np.random.default_rng(111)
-    geometries = [random_conforming(rng) for _ in range(5)]
+    geometries = [projection_angles(random_conforming(rng)) for _ in range(5)]
     pairs = [construct_pair(g)[:2] for g in geometries]
     for _ in range(200):
         d = simulate_dbehavior(random_two_qubit(rng))
@@ -115,20 +97,23 @@ def test_bounds_respected_by_random_realizations():
 
 
 def test_chain_slacks_vanish_on_generator():
+    """Both slacks of the bound chain vanish on the behavior of the geometry
+    that generated the pair: a random conforming one and the reference point."""
     rng = np.random.default_rng(123)
-    g = random_conforming(rng)
-    ineqB, ineqA, (coeffB, coeffA) = construct_pair(g)
-    d = simulate_dbehavior(two_qubit_of(g))
-    for ineq, coeff in ((ineqB, coeffB), (ineqA, coeffA)):
-        slacks = chain_slacks(ineq, coeff, d)
-        assert abs(slacks["slackCrypt"]) < 1e-9
-        assert abs(slacks["slackQuadratic"]) < 1e-9
-        assert slacks["value"] == pytest.approx(ineq.bound, abs=1e-9)
+    for r in (random_conforming(rng), reference_realization()):
+        g = projection_angles(r)
+        ineqB, ineqA, (coeffB, coeffA) = construct_pair(g)
+        d = simulate_dbehavior(two_qubit_of(g))
+        for ineq, coeff in ((ineqB, coeffB), (ineqA, coeffA)):
+            slacks = chain_slacks(ineq, coeff, d)
+            assert abs(slacks["slackCrypt"]) < 1e-9
+            assert abs(slacks["slackQuadratic"]) < 1e-9
+            assert slacks["value"] == pytest.approx(ineq.bound, abs=1e-9)
 
 
 def test_chain_slacks_nonnegative_on_foreign_behavior():
     rng = np.random.default_rng(131)
-    g = random_conforming(rng)
+    g = projection_angles(random_conforming(rng))
     ineqB, ineqA, (coeffB, coeffA) = construct_pair(g)
     for _ in range(100):
         d = simulate_dbehavior(random_two_qubit(rng))
@@ -136,16 +121,6 @@ def test_chain_slacks_nonnegative_on_foreign_behavior():
             slacks = chain_slacks(ineq, coeff, d)
             assert slacks["slackCrypt"] >= -1e-9
             assert slacks["slackQuadratic"] >= -1e-9
-
-
-def test_verify_cryptographic_chain():
-    g = projection_angles(reference_realization())
-    report = verify_cryptographic_chain(g, two_qubit_of(g), tol=1e-9)
-    for side in ("B", "A"):
-        assert abs(report[side]["slackCrypt"]) < 1e-9
-        assert abs(report[side]["slackQuadratic"]) < 1e-9
-    with pytest.raises(ValueError):
-        verify_cryptographic_chain(g, tsirelson_realization(), tol=1e-9)
 
 
 def test_uniqueness_reference_point_trivial():
@@ -163,7 +138,7 @@ def test_uniqueness_random_conforming():
     rng = np.random.default_rng(222)
     trivial = 0
     for _ in range(5):
-        g = random_conforming(rng)
+        g = projection_angles(random_conforming(rng))
         report = uniqueness_check(g)
         # the reference solution is always present and always accurate
         assert any(
@@ -216,7 +191,7 @@ def _grid_roots(g, n=101, steps=30, h=1e-7):
 def test_uniqueness_finds_every_grid_root():
     rng = np.random.default_rng(222)
     for _ in range(5):
-        g = random_conforming(rng)
+        g = projection_angles(random_conforming(rng))
         report = uniqueness_check(g)
         roots = _grid_roots(g)
         assert roots

@@ -10,7 +10,6 @@ from bellgeo.geometry import (
     reconstruct,
     sign_condition_ok,
     symmetry_transforms,
-    two_qubit_of,
 )
 from bellgeo.realization import (
     SIGMA1,
@@ -35,18 +34,13 @@ from bellgeo.selftest import (
     swap_isometry,
 )
 from bellgeo.tolerances import COINCIDENT_SIN, RESIDUAL_PASS, root_tol
+from realizations import random_conforming
 
 RNG = np.random.default_rng(20240816)
 
 
-def conforming_realization(rng=None, chi_min=0.05):
-    rng = rng if rng is not None else np.random.default_rng(61)
-    while True:
-        r = random_two_qubit(rng)
-        if not chi_min <= r.chi <= math.pi / 4 - 0.05:
-            continue
-        if sign_condition_ok(projection_angles(r)):
-            return r
+#: The conforming realization that the single-draw tests share.
+CONFORMING = random_conforming(np.random.default_rng(61), pair=False)
 
 
 def conforming_extension_angle(r, rng):
@@ -74,7 +68,7 @@ def test_derived_operators_are_paulis_on_promoted_realization():
 
 def test_residuals_vanish_on_promoted_and_embedded():
     rng = np.random.default_rng(71)
-    r = conforming_realization(rng)
+    r = random_conforming(rng, pair=False)
     g = projection_angles(r)
     p = promote(r)
     res = anticommutator_residual(p, derive_operators(p, g), g)
@@ -85,7 +79,7 @@ def test_residuals_vanish_on_promoted_and_embedded():
 
 
 def test_residuals_detect_out_of_plane_observable():
-    r = conforming_realization()
+    r = CONFORMING
     g = projection_angles(r)
     p = promote(r)
     tilted = (
@@ -99,7 +93,7 @@ def test_residuals_detect_out_of_plane_observable():
 def test_swap_isometry_extracts_the_state():
     rng = np.random.default_rng(81)
     for _ in range(10):
-        r = conforming_realization(rng)
+        r = random_conforming(rng, pair=False)
         g = projection_angles(r)
         p = promote(r)
         fidelity = swap_isometry(p, derive_operators(p, g), g.chi)
@@ -108,7 +102,7 @@ def test_swap_isometry_extracts_the_state():
 
 def test_swap_isometry_embedded_realization():
     rng = np.random.default_rng(82)
-    r = conforming_realization(rng)
+    r = random_conforming(rng, pair=False)
     g = projection_angles(r)
     e = embed(promote(r), unitaryA=haar_unitary(rng, 3), unitaryB=haar_unitary(rng, 4), padA=1, padB=2)
     fidelity = swap_isometry(e, derive_operators(e, g), g.chi)
@@ -116,7 +110,7 @@ def test_swap_isometry_embedded_realization():
 
 
 def test_swap_isometry_flipped_input_state():
-    r = conforming_realization()
+    r = CONFORMING
     g = projection_angles(r)
     p = promote(r)
     ops = derive_operators(p, g)
@@ -130,7 +124,7 @@ def test_swap_isometry_flipped_input_state():
 def test_planar_state_identities():
     """The state is reconstructed by its own Z/X image, term by term."""
     for _ in range(10):
-        r = conforming_realization(RNG)
+        r = random_conforming(RNG, pair=False)
         g = projection_angles(r)
         p = promote(r)
         ops = derive_operators(p, g)
@@ -145,7 +139,7 @@ def test_planar_state_identities():
 
 
 def test_protocol_zb_accepts_aligned_added_observable():
-    r = conforming_realization()
+    r = CONFORMING
     ext = ExtendedRealization(base=promote(r), B2=SIGMA3)
     report = protocol_zb(ext, tol=1e-7)
     assert report["selfTested"]
@@ -156,20 +150,18 @@ def test_protocol_zb_accepts_aligned_added_observable():
 def test_protocol_zb_accepts_every_conforming_draw():
     # 15 of these draws were rejected when the branch patterns were taken in
     # a fixed order instead of tightest first
-    from realizations import random_conforming
-
     rng = np.random.default_rng(7)
     rejected = []
     for _ in range(2000):
-        g = random_conforming(rng)
-        report = protocol_zb(ExtendedRealization(base=promote(two_qubit_of(g)), B2=SIGMA3))
+        r = random_conforming(rng)
+        report = protocol_zb(ExtendedRealization(base=promote(r), B2=SIGMA3))
         if not report["selfTested"]:
-            rejected.append((g.thetaA, g.thetaB, g.chi, report.get("error")))
+            rejected.append((r.thetaA, r.thetaB, r.chi, report.get("error")))
     assert rejected == []
 
 
 def test_protocol_zb_rejects_misaligned_added_observable():
-    r = conforming_realization()
+    r = CONFORMING
     ext = ExtendedRealization(base=promote(r), B2=SIGMA1)
     report = protocol_zb(ext, tol=1e-7)
     assert not report["selfTested"]
@@ -179,7 +171,7 @@ def test_protocol_zb_rejects_misaligned_added_observable():
 def test_protocol_paired_accepts_in_plane_extension():
     rng = np.random.default_rng(91)
     for _ in range(5):
-        r = conforming_realization(rng)
+        r = random_conforming(rng, pair=False)
         theta2 = conforming_extension_angle(r, rng)
         ext = ExtendedRealization(base=promote(r), B2=xz_observable(theta2))
         report = protocol_lemma6_pair(ext, tol=1e-7)
@@ -196,7 +188,7 @@ def test_protocol_paired_accepts_every_conforming_draw():
     rng = np.random.default_rng(7)
     rejected = []
     for _ in range(1000):
-        r = conforming_realization(rng)
+        r = random_conforming(rng, pair=False)
         theta2 = conforming_extension_angle(r, rng)
         report = protocol_lemma6_pair(ExtendedRealization(base=promote(r), B2=xz_observable(theta2)))
         if not report["selfTested"]:
@@ -206,7 +198,7 @@ def test_protocol_paired_accepts_every_conforming_draw():
 
 def test_protocol_paired_rejects_out_of_plane_extension():
     rng = np.random.default_rng(92)
-    r = conforming_realization(rng)
+    r = random_conforming(rng, pair=False)
     theta2 = conforming_extension_angle(r, rng)
     w = 0.2
     corrupted = math.sqrt(1 - w * w) * xz_observable(theta2) + w * SIGMA2
@@ -216,7 +208,7 @@ def test_protocol_paired_rejects_out_of_plane_extension():
 
 
 def test_protocol_paired_rejects_degenerate_extension():
-    r = conforming_realization()
+    r = CONFORMING
     ext = ExtendedRealization(base=promote(r), B2=xz_observable(r.thetaB[0]))
     report = protocol_lemma6_pair(ext, tol=1e-7)
     assert not report["selfTested"]
@@ -228,7 +220,7 @@ def test_protocol_paired_rejects_degenerate_extension():
 
 def test_protocol_chain_mixed_batch():
     rng = np.random.default_rng(93)
-    r = conforming_realization(rng)
+    r = random_conforming(rng, pair=False)
     good = xz_observable(conforming_extension_angle(r, rng))
     bad = SIGMA2
     reports = list(protocol_chain(promote(r), [good, bad], tol=1e-7))
@@ -238,7 +230,7 @@ def test_protocol_chain_mixed_batch():
 
 
 def test_extended_realization_validation():
-    p = promote(conforming_realization())
+    p = promote(CONFORMING)
     with pytest.raises(ValueError):
         ExtendedRealization(base=p, B2=np.array([[0, 2], [2, 0]], dtype=complex))
     with pytest.raises(ValueError):
@@ -254,7 +246,7 @@ def test_derived_operator_degenerate_angles_rejected():
 
 def test_sigma2_component_invisible_in_correlators():
     """The out-of-plane Pauli contributes nothing to any planar correlator."""
-    r = conforming_realization()
+    r = CONFORMING
     p = promote(r)
     m = p.state_matrix
     for a in p.A:
@@ -338,7 +330,7 @@ def test_protocol_chain_matches_independent_pairs():
     seen = set()
     for _ in range(40):
         if rng.uniform() < 0.7:
-            r = conforming_realization(rng)
+            r = random_conforming(rng, pair=False)
             theta2 = conforming_extension_angle(r, rng)
         else:
             r = random_two_qubit(rng)
@@ -378,7 +370,7 @@ def _counting(monkeypatch, name):
 
 def test_protocol_chain_certifies_the_base_once(monkeypatch):
     rng = np.random.default_rng(95)
-    r = conforming_realization(rng)
+    r = random_conforming(rng, pair=False)
     added = [xz_observable(conforming_extension_angle(r, rng)) for _ in range(8)]
     reconstructions = _counting(monkeypatch, "reconstruct")
     isometries = _counting(monkeypatch, "swap_isometry")
