@@ -50,6 +50,76 @@ def is_local_lp(b: CBehavior) -> bool:
     return res.status == 0
 
 
+def probability_table(b: CBehavior) -> np.ndarray:
+    """Reference expansion p[a, b, x, y] = (1 + a cA_x + b cB_y + ab C_xy) / 4,
+    outcome index 0 for +1 and 1 for -1, written entry by entry."""
+    p = np.empty((2, 2, 2, 2))
+    for (i, a), (j, bb) in itertools.product(enumerate((1.0, -1.0)), repeat=2):
+        for x, y in itertools.product(range(2), repeat=2):
+            p[i, j, x, y] = 0.25 * (1.0 + a * b.cA[x] + bb * b.cB[y] + a * bb * b.c[x, y])
+    return p
+
+
+def assert_is_valid_reads_min(b: CBehavior, m: float, eps: float = 1e-12):
+    """is_valid(b, tol) is p.min() >= -tol, so a negative tol probes the
+    smallest probability: it must lie within eps of m."""
+    assert is_valid(b, tol=-(m - eps))
+    assert not is_valid(b, tol=-(m + eps))
+
+
+def test_probability_expansion_round_trip():
+    sign = np.array([1.0, -1.0])
+    for _ in range(100):
+        b = random_cbehavior(RNG)
+        p = probability_table(b)
+        cA = np.einsum("a,abxy->xy", sign, p).mean(axis=1)
+        cB = np.einsum("b,abxy->yx", sign, p).mean(axis=1)
+        c = np.einsum("a,b,abxy->xy", sign, sign, p)
+        back = CBehavior(cA=cA, cB=cB, c=c)
+        assert np.abs(back.flat() - b.flat()).max() < 1e-12
+        assert_is_valid_reads_min(b, p.min())
+
+
+def test_probability_table_no_signaling_exact():
+    for _ in range(50):
+        p = probability_table(random_cbehavior(RNG))
+        assert np.abs(p.sum(axis=(0, 1)) - 1.0).max() < 1e-12
+        margA, margB = p.sum(axis=1), p.sum(axis=0)
+        assert np.abs(margA[:, :, 0] - margA[:, :, 1]).max() < 1e-12
+        assert np.abs(margB[:, 0, :] - margB[:, 1, :]).max() < 1e-12
+    for _ in range(50):
+        b = simulate_cbehavior(random_two_qubit(RNG))
+        assert is_valid(b)
+        assert_is_valid_reads_min(b, probability_table(b).min())
+
+
+def test_uniform_behavior_probabilities():
+    # the smallest of the four probabilities of each setting pair is exactly
+    # 1/4, so all sixteen are
+    b = CBehavior(cA=[0, 0], cB=[0, 0], c=np.zeros((2, 2)))
+    assert is_valid(b, tol=-0.25)
+    assert not is_valid(b, tol=-np.nextafter(0.25, 1.0))
+
+
+def test_deterministic_marginal_probabilities():
+    b = CBehavior(cA=[1.0, 0.0], cB=[0.0, 0.0], c=np.zeros((2, 2)))
+    assert is_valid(b, tol=0.0)
+    assert not is_valid(b, tol=-np.nextafter(0.0, 1.0))
+    # a deterministic A_0 = +1 forces C_0y = cB_y: p(-1, b|0, y) = b (cB_y - C_0y) / 4
+    cB = np.array([0.3, -0.2])
+    b = CBehavior(cA=[1.0, 0.0], cB=cB, c=np.array([cB, [0.0, 0.0]]))
+    assert is_valid(b, tol=0.0)
+    for y, dc in itertools.product(range(2), (1e-6, -1e-6)):
+        c = np.array([cB, [0.0, 0.0]])
+        c[0, y] += dc
+        assert not is_valid(CBehavior(cA=[1.0, 0.0], cB=cB, c=c))
+
+
+def test_tsirelson_probability_value():
+    # unequal outcomes where C_xy = 1/sqrt2, equal ones at (1, 1): (1 - 1/sqrt2) / 4
+    assert_is_valid_reads_min(tsirelson_behavior(), 0.25 * (1.0 - 1.0 / math.sqrt(2.0)))
+
+
 def test_is_valid_pins_the_probability_formula():
     """Validity is min_abxy (1 + a cA_x + b cB_y + ab C_xy) / 4 >= -tol.
 

@@ -97,18 +97,15 @@ def test_bounds_respected_by_random_realizations():
 
 
 def test_chain_slacks_vanish_on_generator():
-    """Both slacks of the bound chain vanish on the behavior of the geometry
-    that generated the pair: a random conforming one and the reference point."""
     rng = np.random.default_rng(123)
-    for r in (random_conforming(rng), reference_realization()):
-        g = projection_angles(r)
-        ineqB, ineqA, (coeffB, coeffA) = construct_pair(g)
-        d = simulate_dbehavior(two_qubit_of(g))
-        for ineq, coeff in ((ineqB, coeffB), (ineqA, coeffA)):
-            slacks = chain_slacks(ineq, coeff, d)
-            assert abs(slacks["slackCrypt"]) < 1e-9
-            assert abs(slacks["slackQuadratic"]) < 1e-9
-            assert slacks["value"] == pytest.approx(ineq.bound, abs=1e-9)
+    g = projection_angles(random_conforming(rng))
+    ineqB, ineqA, (coeffB, coeffA) = construct_pair(g)
+    d = simulate_dbehavior(two_qubit_of(g))
+    for ineq, coeff in ((ineqB, coeffB), (ineqA, coeffA)):
+        slacks = chain_slacks(ineq, coeff, d)
+        assert abs(slacks["slackCrypt"]) < 1e-9
+        assert abs(slacks["slackQuadratic"]) < 1e-9
+        assert slacks["value"] == pytest.approx(ineq.bound, abs=1e-9)
 
 
 def test_chain_slacks_nonnegative_on_foreign_behavior():
@@ -121,6 +118,24 @@ def test_chain_slacks_nonnegative_on_foreign_behavior():
             slacks = chain_slacks(ineq, coeff, d)
             assert slacks["slackCrypt"] >= -1e-9
             assert slacks["slackQuadratic"] >= -1e-9
+
+
+def test_verify_cryptographic_chain():
+    """The bound chain of the reference pair: both slacks vanish on the
+    reference behavior, and the Tsirelson behavior, which the pair does not
+    self-test, leaves the first step of the chain far from tight."""
+    g = projection_angles(reference_realization())
+    ineqB, ineqA, (coeffB, coeffA) = construct_pair(g)
+    own = simulate_dbehavior(two_qubit_of(g))
+    foreign = simulate_dbehavior(tsirelson_realization())
+    for ineq, coeff in ((ineqB, coeffB), (ineqA, coeffA)):
+        slacks = chain_slacks(ineq, coeff, own)
+        assert abs(slacks["slackCrypt"]) < 1e-9
+        assert abs(slacks["slackQuadratic"]) < 1e-9
+        slacks = chain_slacks(ineq, coeff, foreign)
+        assert slacks["slackQuadratic"] >= -1e-9
+        assert slacks["slackCrypt"] > 0.1
+        assert slacks["value"] < ineq.bound - 0.1
 
 
 def test_uniqueness_reference_point_trivial():
