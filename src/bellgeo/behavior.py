@@ -11,11 +11,11 @@ attempts to convert a D-space point back to C-space.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .jsonio import Record, freeze
+from .jsonio import Record, freeze, record_fields
 from .tolerances import DEFAULT_TOL, VALIDATE_TOL
 
 #: The 16 sign patterns of {+1, -1}^4 as integer rows, all-plus first, in
@@ -28,6 +28,11 @@ SIGN_PATTERNS = np.array(list(itertools.product((1, -1), repeat=4)))
 #: These are the eight CHSH facets of the local polytope in the 2x2x2
 #: scenario; together with positivity they characterize locality exactly.
 CHSH_SIGNS = SIGN_PATTERNS[SIGN_PATTERNS.prod(axis=1) < 0].astype(float)
+
+
+#: Where each of the three fields starts in ``flat()`` order: two marginal
+#: entries per side, then the four correlators.
+_FIELD_STARTS = (0, 2, 4)
 
 
 class InvalidBehaviorError(ValueError):
@@ -46,7 +51,8 @@ class CBehavior(Record):
         object.__setattr__(self, "cA", freeze(self.cA, (2,), name="cA"))
         object.__setattr__(self, "cB", freeze(self.cB, (2,), name="cB"))
         object.__setattr__(self, "c", freeze(self.c, (2, 2), name="c"))
-        worst = max(np.abs(self.cA).max(), np.abs(self.cB).max(), np.abs(self.c).max())
+        # each field's largest magnitude, NaN-propagating, from one reduction
+        worst = max(np.maximum.reduceat(np.abs(self.flat()), _FIELD_STARTS).tolist())
         if worst > 1.0 + VALIDATE_TOL:
             raise ValueError(f"correlator magnitude {worst} exceeds 1")
 
@@ -66,11 +72,14 @@ class DBehavior(Record):
         object.__setattr__(self, "deltaB", freeze(self.deltaB, (2,), name="deltaB"))
         object.__setattr__(self, "deltaA", freeze(self.deltaA, (2,), name="deltaA"))
         object.__setattr__(self, "c", freeze(self.c, (2, 2), name="c"))
-        for name in ("deltaB", "deltaA"):
-            d = getattr(self, name)
-            if d.min() < -VALIDATE_TOL or d.max() > 1.0 + VALIDATE_TOL:
-                raise ValueError(f"{name} entries must lie in [0, 1], got {d}")
-        if np.abs(self.c).max() > 1.0 + VALIDATE_TOL:
+        # each field's extremes, NaN-propagating, from one reduction apiece
+        v = np.concatenate([self.deltaB, self.deltaA, np.abs(self.c).ravel()])
+        lo = np.minimum.reduceat(v, _FIELD_STARTS).tolist()
+        hi = np.maximum.reduceat(v, _FIELD_STARTS).tolist()
+        for k, name in enumerate(("deltaB", "deltaA")):
+            if lo[k] < -VALIDATE_TOL or hi[k] > 1.0 + VALIDATE_TOL:
+                raise ValueError(f"{name} entries must lie in [0, 1], got {getattr(self, name)}")
+        if hi[2] > 1.0 + VALIDATE_TOL:
             raise ValueError("correlator magnitude exceeds 1")
 
     def flat(self) -> np.ndarray:
@@ -132,6 +141,6 @@ def mix(behaviors, weights, tol: float = DEFAULT_TOL):
     return kind(
         **{
             f.name: sum(wi * getattr(b, f.name) for wi, b in zip(w, behaviors))
-            for f in fields(kind)
+            for f in record_fields(kind)
         }
     )

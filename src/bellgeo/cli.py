@@ -92,8 +92,11 @@ def _read_behavior(arg: str):
 
 def _write(out_path: str | None, text: str):
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write output: {exc}") from exc
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -413,12 +416,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_tol(args):
     """``--tol``, else ``NONLOC_TOL``, else the subcommand's default; a NaN,
-    infinite or negative value from the flag or the variable is an error."""
+    infinite or negative value from the flag or the variable, or a variable
+    that is not a number, is an error."""
     source = "--tol"
     if args.tol is None:
         env = os.environ.get("NONLOC_TOL")
         if env:
-            source, args.tol = "NONLOC_TOL", float(env)
+            source = "NONLOC_TOL"
+            try:
+                args.tol = float(env)
+            except ValueError as exc:
+                raise CliError(f"NONLOC_TOL={env!r} is not a number") from exc
         else:
             args.tol = RESIDUAL_PASS if args.command == "selftest" else DEFAULT_TOL
     if not 0.0 <= args.tol < math.inf:

@@ -32,6 +32,10 @@ class ReconstructionError(ValueError):
     """The behavior does not determine a consistent planar geometry."""
 
 
+#: The angle fields of ``GeometryParams``, in declaration order.
+_ANGLES = ("thetaA", "thetaB", "phiB", "phiA")
+
+
 @dataclass(frozen=True)
 class GeometryParams(Record):
     """Angles (radians) and the inter-plane vector norm of the planar picture."""
@@ -44,10 +48,22 @@ class GeometryParams(Record):
     psiPrimeNorm: float
 
     def __post_init__(self):
-        for name in ("thetaA", "thetaB", "phiB", "phiA"):
-            a = freeze(getattr(self, name), (2,), name=name)
-            if not np.isfinite(a).all():
-                raise ValueError(f"{name} must be finite")
+        # the angles up to the first that cannot be frozen, checked finite in
+        # one broadcast, so the first bad field decides the error
+        angles, failure = [], None
+        for name in _ANGLES:
+            try:
+                angles.append(freeze(getattr(self, name), (2,), name=name))
+            except (TypeError, ValueError, OverflowError) as exc:  # raised after the finite check
+                failure = exc
+                break
+        if angles:
+            finite = np.isfinite(np.array(angles)).all(axis=1).tolist()
+            if False in finite:
+                raise ValueError(f"{_ANGLES[finite.index(False)]} must be finite")
+        if failure is not None:
+            raise failure
+        for name, a in zip(_ANGLES, angles):
             object.__setattr__(self, name, a)
         for name in ("chi", "psiPrimeNorm"):
             x = float(getattr(self, name))

@@ -2,7 +2,9 @@
 
 All floats are written with 17 significant digits so that output files are
 byte-stable across platforms and fully round-trip in double precision.
-Parsing is plain ``json.loads``.
+Parsing is plain ``json.loads``.  The emitter dispatches on the exact type
+of each value and falls back to isinstance checks for numpy scalars and
+subclasses.
 
 :class:`Record` maps a frozen dataclass to and from a JSON object, one key
 per field in declaration order.  Fields whose metadata is
@@ -16,14 +18,17 @@ constructor.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
-from dataclasses import fields
 from typing import Any
 
 import numpy as np
 
 loads = json.loads
+#: The string encoder ``json.dumps`` uses by default, non-ASCII escaped.
+_escape = json.encoder.encode_basestring_ascii
 
 #: Field metadata of a complex vector written as [re, im] pairs.
 COMPLEX_VECTOR = {"complex": "vector"}
@@ -35,16 +40,60 @@ COMPLEX_MATRIX = {"complex": "matrix"}
 def _format_float(x: float) -> str:
     if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite number {x!r}")
-    s = format(x, ".17g")
-    return s
+    return format(x, ".17g")
+
+
+@functools.cache
+def _layout(indent: int | None, level: int) -> tuple[str, str, str]:
+    """The whitespace after the opening bracket, between items and before the
+    closing bracket of a non-empty container at ``level``."""
+    if indent is None:
+        return "", ", ", ""
+    inner = "\n" + " " * (indent * (level + 1))
+    return inner, "," + inner, "\n" + " " * (indent * level)
+
+
+def _object(obj: dict, indent: int | None, level: int) -> str:
+    if not obj:
+        return "{}"
+    first, sep, last = _layout(indent, level)
+    level += 1
+    items = [_escape(str(k)) + ": " + _emit(v, indent, level) for k, v in obj.items()]
+    return "{" + first + sep.join(items) + last + "}"
+
+
+def _array(obj, indent: int | None, level: int) -> str:
+    if not obj:
+        return "[]"
+    first, sep, last = _layout(indent, level)
+    level += 1
+    return "[" + first + sep.join([_emit(v, indent, level) for v in obj]) + last + "]"
 
 
 def _emit(obj: Any, indent: int | None, level: int) -> str:
+    kind = type(obj)
+    if kind is float:
+        return _format_float(obj)
+    if kind is dict:
+        return _object(obj, indent, level)
+    if kind is list or kind is tuple:
+        return _array(obj, indent, level)
+    if kind is np.ndarray:
+        return _emit(obj.tolist(), indent, level)
+    if kind is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if kind is int:
+        return str(obj)
+    if kind is str:
+        return _escape(obj)
+    # numpy scalars and subclasses of the types above
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
-    if isinstance(obj, (np.floating,)):
+    if isinstance(obj, np.floating):
         obj = float(obj)
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, np.integer):
         obj = int(obj)
     if isinstance(obj, bool):
         return "true" if obj else "false"
@@ -55,26 +104,11 @@ def _emit(obj: Any, indent: int | None, level: int) -> str:
     if isinstance(obj, float):
         return _format_float(obj)
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _escape(obj)
     if isinstance(obj, dict):
-        items = [(json.dumps(str(k)), _emit(v, indent, level + 1)) for k, v in obj.items()]
-        if indent is None:
-            return "{" + ", ".join(f"{k}: {v}" for k, v in items) + "}"
-        pad = " " * (indent * (level + 1))
-        closing = " " * (indent * level)
-        if not items:
-            return "{}"
-        body = (",\n").join(f"{pad}{k}: {v}" for k, v in items)
-        return "{\n" + body + "\n" + closing + "}"
+        return _object(obj, indent, level)
     if isinstance(obj, (list, tuple)):
-        parts = [_emit(v, indent, level + 1) for v in obj]
-        if indent is None:
-            return "[" + ", ".join(parts) + "]"
-        pad = " " * (indent * (level + 1))
-        closing = " " * (indent * level)
-        if not parts:
-            return "[]"
-        return "[\n" + (",\n").join(pad + p for p in parts) + "\n" + closing + "]"
+        return _array(obj, indent, level)
     raise TypeError(f"cannot serialize object of type {type(obj)!r}")
 
 
@@ -160,31 +194,40 @@ _DECODERS = {
 }
 
 
-def _encode(f, value):
-    kind = f.metadata.get("complex")
-    if kind is None:
-        return value
+#: Each dataclass's fields, looked up once per class.
+record_fields = functools.cache(dataclasses.fields)
+
+
+@functools.cache
+def _codec(cls) -> tuple:
+    """(name, complex kind or None, type) of each field of ``cls``."""
+    return tuple((f.name, f.metadata.get("complex"), f.type) for f in record_fields(cls))
+
+
+def _encode(kind, value):
     a = np.asarray(value)
     if kind == "matrix":
         a = a.reshape(a.shape[:-2] + (-1,))
     return np.stack([a.real, a.imag], axis=-1)
 
 
-def _decode(f, value):
-    kind = f.metadata.get("complex")
+def _decode(name: str, kind, type_: str, value):
     if kind is not None:
-        return complex_array(value, f.name, square=kind == "matrix")
-    decoder = _DECODERS.get(f.type)
+        return complex_array(value, name, square=kind == "matrix")
+    decoder = _DECODERS.get(type_)
     if decoder is None:
-        raise TypeError(f"no JSON decoder for field {f.name} of type {f.type}")
-    return decoder(value, f.name)
+        raise TypeError(f"no JSON decoder for field {name} of type {type_}")
+    return decoder(value, name)
 
 
 class Record:
     """JSON mapping of a dataclass, one key per field in declaration order."""
 
     def to_json_dict(self) -> dict:
-        return {f.name: _encode(f, getattr(self, f.name)) for f in fields(self)}
+        return {
+            name: getattr(self, name) if kind is None else _encode(kind, getattr(self, name))
+            for name, kind, _ in _codec(type(self))
+        }
 
     def to_json(self, indent: int | None = None) -> str:
         return dumps(self.to_json_dict(), indent=indent)
@@ -194,10 +237,10 @@ class Record:
         if not isinstance(data, dict):
             raise ValueError(f"{cls.__name__} must be a JSON object")
         values = {}
-        for f in fields(cls):
-            if f.name not in data:
-                raise ValueError(f"missing field {f.name!r}")
-            values[f.name] = _decode(f, data[f.name])
+        for name, kind, type_ in _codec(cls):
+            if name not in data:
+                raise ValueError(f"missing field {name!r}")
+            values[name] = _decode(name, kind, type_, data[name])
         return cls(**values)
 
     @classmethod

@@ -13,6 +13,7 @@ maximization over the guessing party's Hermitian operators.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -44,13 +45,33 @@ class TwoQubitRealization(Record):
             raise ValueError(f"chi={self.chi} outside the convention [0, pi/4]")
 
 
-def _check_observable(m: np.ndarray, dim: int, name: str):
-    if m.shape != (dim, dim):
-        raise ValueError(f"{name} must be {dim}x{dim}, got {m.shape}")
-    if np.abs(m - m.conj().T).max() > VALIDATE_TOL:
-        raise ValueError(f"{name} is not Hermitian")
-    if np.abs(m @ m - np.eye(dim)).max() > VALIDATE_TOL:
-        raise ValueError(f"{name} does not square to the identity")
+@functools.cache
+def _identity(dim: int) -> np.ndarray:
+    """The read-only dim x dim identity, built once per dimension."""
+    return freeze(np.eye(dim))
+
+
+def _observable_residuals(ops: np.ndarray) -> list:
+    """The lists max |O - O^dagger| and max |O O - I| over each matrix O of
+    the stack ``ops``, from one broadcast."""
+    dev = np.array([ops - ops.conj().swapaxes(-1, -2), ops @ ops - _identity(ops.shape[-1])])
+    return np.abs(dev).reshape(2, len(ops), -1).max(axis=-1).tolist()
+
+
+def _check_observables(ops: tuple, dim: int, side: str):
+    """Each observable's shape, Hermiticity and square, in that order and
+    observable by observable; the residuals of all that have the right shape
+    come from one broadcast."""
+    shaped = next((i for i, m in enumerate(ops) if m.shape != (dim, dim)), len(ops))
+    if shaped:
+        herm, square = _observable_residuals(np.array(ops[:shaped]))
+    for i in range(shaped):
+        if herm[i] > VALIDATE_TOL:
+            raise ValueError(f"{side}[{i}] is not Hermitian")
+        if square[i] > VALIDATE_TOL:
+            raise ValueError(f"{side}[{i}] does not square to the identity")
+    if shaped < len(ops):
+        raise ValueError(f"{side}[{shaped}] must be {dim}x{dim}, got {ops[shaped].shape}")
 
 
 @dataclass(frozen=True)
@@ -75,10 +96,8 @@ class GeneralRealization(Record):
         B = tuple(freeze(m, dtype=complex) for m in self.B)
         if len(A) != 2 or len(B) != 2:
             raise ValueError("need exactly two observables per side")
-        for i, m in enumerate(A):
-            _check_observable(m, self.dimA, f"A[{i}]")
-        for i, m in enumerate(B):
-            _check_observable(m, self.dimB, f"B[{i}]")
+        _check_observables(A, self.dimA, "A")
+        _check_observables(B, self.dimB, "B")
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)

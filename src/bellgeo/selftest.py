@@ -20,7 +20,7 @@ import numpy as np
 from .behavior import CBehavior
 from .geometry import GeometryParams, ReconstructionError, _match_geometries, reconstruct
 from .jsonio import freeze
-from .realization import GeneralRealization, _correlator_table
+from .realization import GeneralRealization, _correlator_table, _observable_residuals
 from .tolerances import (
     ADDED_OBSERVABLE_TOL,
     COINCIDENT_SIN,
@@ -51,9 +51,10 @@ class ExtendedRealization:
         dim = self.base.dimB
         if b2.shape != (dim, dim):
             raise ValueError(f"B2 must be {dim}x{dim}")
-        if np.abs(b2 - b2.conj().T).max() > ADDED_OBSERVABLE_TOL:
+        herm, square = _observable_residuals(b2[None])
+        if herm[0] > ADDED_OBSERVABLE_TOL:
             raise ValueError("B2 is not Hermitian")
-        if np.abs(b2 @ b2 - np.eye(dim)).max() > ADDED_OBSERVABLE_TOL:
+        if square[0] > ADDED_OBSERVABLE_TOL:
             raise ValueError("B2 does not square to the identity")
         object.__setattr__(self, "B2", b2)
 

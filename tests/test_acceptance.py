@@ -10,8 +10,7 @@ import time
 import numpy as np
 
 from bellgeo.behavior import CBehavior, mix, is_local
-from bellgeo.cli import main as cli_main
-from bellgeo.criteria import crypt_gaps, crypt_membership, s_quantities, two_qubit_condition
+from bellgeo.criteria import crypt_membership, s_quantities, two_qubit_condition
 from bellgeo.geometry import (
     d_values,
     projection_angles,

@@ -680,6 +680,36 @@ def test_zero_tol_is_accepted(monkeypatch, capsys, source):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("command", sorted(TOL_COMMANDS))
+def test_non_numeric_tol_variable_is_named(monkeypatch, capsys, command):
+    monkeypatch.setenv("NONLOC_TOL", "abc")
+    assert main(TOL_COMMANDS[command]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: NONLOC_TOL='abc' is not a number"]
+
+
+#: One run of each subcommand, without its output path.
+WRITE_COMMANDS = {
+    "simulate": ["simulate", "-i", json.dumps(README_REALIZATION)],
+    "geometry": ["geometry", "-i", json.dumps(README_REALIZATION)],
+    "qbell": ["qbell", "-i", json.dumps(README_REALIZATION)],
+    "counterexample": ["counterexample"],
+    **TOL_COMMANDS,
+}
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command", sorted(WRITE_COMMANDS))
+def test_unwritable_output_is_one_error_line(tmp_path, capsys, command, target):
+    path = tmp_path / "missing" / "out.json" if target == "missing-directory" else tmp_path
+    assert main(WRITE_COMMANDS[command] + ["-o", str(path)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(err) == 1 and err[0].startswith("error: cannot write output:"), err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

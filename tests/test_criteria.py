@@ -17,8 +17,6 @@ from bellgeo.criteria import (
 )
 from bellgeo.realization import (
     TwoQubitRealization,
-    promote,
-    random_general,
     random_two_qubit,
     simulate_cbehavior,
     simulate_dbehavior,

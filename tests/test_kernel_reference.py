@@ -10,13 +10,34 @@ bit for bit the same, and every error the same type with the same message.
 The simulation of general realizations was rebuilt on one reduced state
 and one eigendecomposition per side.  Its correlators must equal the
 frozen ones bit for bit and its guessing biases must agree to 1e-14.
+
+The JSON emitter was rebuilt to dispatch on exact types, and the record
+constructors to check their fields in one broadcast each.  Every CLI report
+and a seeded corpus of values must serialize byte for byte as the frozen
+emitter writes them, and seeded malformed fields must give each record the
+same error type and message, or the same frozen values.
 """
 
+import collections
+import contextlib
+import io
+import itertools
+import json
 import math
+import re
 
 import numpy as np
 
-from bellgeo.behavior import SIGN_PATTERNS, CBehavior, InvalidBehaviorError, is_local, is_valid
+from bellgeo import jsonio
+from bellgeo.behavior import (
+    SIGN_PATTERNS,
+    CBehavior,
+    DBehavior,
+    InvalidBehaviorError,
+    is_local,
+    is_valid,
+)
+from bellgeo.cli import main
 from bellgeo.criteria import (
     ExtremalVerdict,
     SignPattern,
@@ -49,6 +70,7 @@ from bellgeo.realization import (
     SIGMA3,
     GeneralRealization,
     TwoQubitRealization,
+    _observable_residuals,
     embed,
     guessing_bias,
     haar_unitary,
@@ -72,9 +94,11 @@ from bellgeo.tolerances import (
     ROOT_SEPARATION,
     ROUNDING_ZERO,
     SUPPORT_CUTOFF,
+    ADDED_OBSERVABLE_TOL,
+    VALIDATE_TOL,
     root_tol,
 )
-from realizations import random_conforming
+from realizations import random_conforming, reference_realization
 
 # -- frozen copies: criteria ---------------------------------------------------
 
@@ -435,6 +459,132 @@ def _ref_guessing_bias(r, side, setting, cutoff=SUPPORT_CUTOFF):
     return math.sqrt(max(float(np.sum(terms)), 0.0))
 
 
+# -- frozen copies: JSON emitter and record checks -----------------------------
+
+
+def _ref_format_float(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError(f"cannot serialize non-finite number {x!r}")
+    s = format(x, ".17g")
+    return s
+
+
+def _ref_emit(obj, indent, level):
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (np.floating,)):
+        obj = float(obj)
+    if isinstance(obj, (np.integer,)):
+        obj = int(obj)
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return _ref_format_float(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        items = [(json.dumps(str(k)), _ref_emit(v, indent, level + 1)) for k, v in obj.items()]
+        if indent is None:
+            return "{" + ", ".join(f"{k}: {v}" for k, v in items) + "}"
+        pad = " " * (indent * (level + 1))
+        closing = " " * (indent * level)
+        if not items:
+            return "{}"
+        body = (",\n").join(f"{pad}{k}: {v}" for k, v in items)
+        return "{\n" + body + "\n" + closing + "}"
+    if isinstance(obj, (list, tuple)):
+        parts = [_ref_emit(v, indent, level + 1) for v in obj]
+        if indent is None:
+            return "[" + ", ".join(parts) + "]"
+        pad = " " * (indent * (level + 1))
+        closing = " " * (indent * level)
+        if not parts:
+            return "[]"
+        return "[\n" + (",\n").join(pad + p for p in parts) + "\n" + closing + "]"
+    raise TypeError(f"cannot serialize object of type {type(obj)!r}")
+
+
+def _ref_cbehavior(cA, cB, c):
+    cA, cB, c = freeze(cA, (2,), name="cA"), freeze(cB, (2,), name="cB"), freeze(c, (2, 2), name="c")
+    worst = max(np.abs(cA).max(), np.abs(cB).max(), np.abs(c).max())
+    if worst > 1.0 + VALIDATE_TOL:
+        raise ValueError(f"correlator magnitude {worst} exceeds 1")
+    return {"cA": cA, "cB": cB, "c": c}
+
+
+def _ref_dbehavior(deltaB, deltaA, c):
+    fields = {
+        "deltaB": freeze(deltaB, (2,), name="deltaB"),
+        "deltaA": freeze(deltaA, (2,), name="deltaA"),
+        "c": freeze(c, (2, 2), name="c"),
+    }
+    for name in ("deltaB", "deltaA"):
+        d = fields[name]
+        if d.min() < -VALIDATE_TOL or d.max() > 1.0 + VALIDATE_TOL:
+            raise ValueError(f"{name} entries must lie in [0, 1], got {d}")
+    if np.abs(fields["c"]).max() > 1.0 + VALIDATE_TOL:
+        raise ValueError("correlator magnitude exceeds 1")
+    return fields
+
+
+def _ref_geometry_params(**values):
+    fields = {}
+    for name in ("thetaA", "thetaB", "phiB", "phiA"):
+        a = freeze(values[name], (2,), name=name)
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} must be finite")
+        fields[name] = a
+    for name in ("chi", "psiPrimeNorm"):
+        x = float(values[name])
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite")
+        fields[name] = x
+    return fields
+
+
+def _ref_check_observable(m, dim, name):
+    if m.shape != (dim, dim):
+        raise ValueError(f"{name} must be {dim}x{dim}, got {m.shape}")
+    if np.abs(m - m.conj().T).max() > VALIDATE_TOL:
+        raise ValueError(f"{name} is not Hermitian")
+    if np.abs(m @ m - np.eye(dim)).max() > VALIDATE_TOL:
+        raise ValueError(f"{name} does not square to the identity")
+
+
+def _ref_general_realization(dimA, dimB, psi, A, B):
+    dimA, dimB = int(dimA), int(dimB)
+    psi = freeze(psi, dtype=complex).reshape(-1)
+    if psi.shape != (dimA * dimB,):
+        raise ValueError("psi length must be dimA*dimB")
+    if abs(np.linalg.norm(psi) - 1.0) > VALIDATE_TOL:
+        raise ValueError("psi must be normalized")
+    A = tuple(freeze(m, dtype=complex) for m in A)
+    B = tuple(freeze(m, dtype=complex) for m in B)
+    if len(A) != 2 or len(B) != 2:
+        raise ValueError("need exactly two observables per side")
+    for i, m in enumerate(A):
+        _ref_check_observable(m, dimA, f"A[{i}]")
+    for i, m in enumerate(B):
+        _ref_check_observable(m, dimB, f"B[{i}]")
+    return {"dimA": dimA, "dimB": dimB, "psi": psi, "A": A, "B": B}
+
+
+def _ref_extended_realization(base, B2):
+    b2 = freeze(B2, dtype=complex)
+    dim = base.dimB
+    if b2.shape != (dim, dim):
+        raise ValueError(f"B2 must be {dim}x{dim}")
+    if np.abs(b2 - b2.conj().T).max() > ADDED_OBSERVABLE_TOL:
+        raise ValueError("B2 is not Hermitian")
+    if np.abs(b2 @ b2 - np.eye(dim)).max() > ADDED_OBSERVABLE_TOL:
+        raise ValueError("B2 does not square to the identity")
+    return {"base": base, "B2": b2}
+
+
 # -- comparison ----------------------------------------------------------------
 
 
@@ -666,3 +816,320 @@ def test_simulation_and_protocols_do_the_work_once(monkeypatch):
     # the chain reached the extended reconstructions
     assert all("base behavior" not in report.get("error", "") for report in reports)
     assert built == []
+
+
+# -- the JSON emitter and the record checks --------------------------------------
+
+
+def _pairs(m):
+    """A complex matrix as the row-major [re, im] pairs of the JSON input."""
+    return np.stack([m.real, m.imag], axis=-1).reshape(-1, 2).tolist()
+
+
+def _embedded_pair(rng, dimA, dimB, r):
+    """``r`` and the Pauli Z on Bob's side, padded to the given dimensions and
+    Haar-rotated alike."""
+    kwargs = dict(
+        unitaryA=haar_unitary(rng, dimA),
+        unitaryB=haar_unitary(rng, dimB),
+        padA=dimA - 2,
+        padB=dimB - 2,
+        pad_sign=float(rng.choice([1.0, -1.0])),
+    )
+    base = promote(r)
+    z = GeneralRealization(dimA=2, dimB=2, psi=base.psi, A=base.A, B=(SIGMA3, SIGMA3))
+    return embed(base, **kwargs), embed(z, **kwargs).B[0]
+
+
+def _cli_requests(rng):
+    """(command, argv) covering every JSON report of the CLI."""
+    readme = {"thetaA": [0, 1.5707963], "thetaB": [0.05, -0.7853982], "chi": 0.2617994}
+    reference = reference_realization().to_json()
+    outside = json.dumps({"cA": [0.3, -0.2], "cB": [0.1, 0.4], "c": [[0.5, 0.1], [-0.3, 0.2]]})
+    yield "geometry", ["geometry", "-i", outside]
+    yield "check", ["check", "-i", json.dumps(readme), "--tol", "1e-6"]
+    for eps in (0.001, 0.01, 0.05):
+        yield "counterexample", ["counterexample", "--epsilon", str(eps)]
+    for k in range(24):
+        r = random_conforming(rng) if k % 2 else random_two_qubit(rng)
+        text = r.to_json() if k else reference
+        for command in ("simulate", "check", "geometry", "qbell"):
+            yield command, [command, "-i", text]
+        d = simulate_dbehavior(r).to_json()
+        yield "check", ["check", "-i", d]
+        base = json.loads(text)
+        for protocol in ("addedZ", "paired"):
+            request = {"base": base, "protocol": protocol, "thetaB2": float(rng.uniform(-3, 3))}
+            yield "selftest", ["selftest", "-i", json.dumps(request)]
+        dims = [int(x) for x in rng.integers(2, 5, size=2)]
+        g, z = _embedded_pair(rng, *dims, random_conforming(rng))
+        yield "simulate", ["simulate", "-i", g.to_json()]
+        yield "check", ["check", "-i", g.to_json()]
+        for protocol in ("addedZ", "paired"):
+            request = {"base": g.to_json_dict(), "protocol": protocol, "B2": _pairs(z)}
+            yield "selftest", ["selftest", "-i", jsonio.dumps(request)]
+
+
+def _cli_reports(monkeypatch):
+    """Every object the CLI serializes on ``_cli_requests``, by command."""
+    reports = []
+    emit = jsonio.dumps
+
+    def recorded(obj, indent=None):
+        reports.append((command, obj))
+        return emit(obj, indent=indent)
+
+    requests = list(_cli_requests(np.random.default_rng(2201)))
+    monkeypatch.setattr(jsonio, "dumps", recorded)
+    for command, argv in requests:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            main(argv)
+    monkeypatch.setattr(jsonio, "dumps", emit)
+    return reports
+
+
+class _Name(str):
+    pass
+
+
+class _Count(int):
+    pass
+
+
+_Point = collections.namedtuple("_Point", "x y")
+
+
+def _leaf(rng):
+    k = int(rng.integers(22))
+    x = math.ldexp(float(rng.uniform(-1.0, 1.0)), int(rng.integers(-1074, 1025)))
+    return [
+        x,
+        float(rng.normal()),
+        -0.0,
+        int(rng.integers(-(2**62), 2**62)) * 2**int(rng.integers(0, 40)),
+        bool(rng.integers(2)),
+        None,
+        "".join(chr(int(c)) for c in rng.integers(0, 0x11000, size=int(rng.integers(0, 6)))),
+        'quote " backslash \\ tab \t θ é \u2028 \x00 \U0001f600',
+        np.float64(x),
+        np.float32(rng.normal()),
+        np.int64(rng.integers(-100, 100)),
+        np.int32(7),
+        np.array(float(rng.normal())),
+        rng.normal(size=(2, 3)),
+        rng.integers(-5, 5, size=3),
+        rng.normal(size=(0,)),
+        np.zeros((2, 0)),
+        rng.normal(size=2) > 0.0,
+        _Name("subclassed"),
+        _Count(int(rng.integers(100))),
+        _Point(1.5, [2.5]),
+        collections.OrderedDict(b=1.0, a=[]),
+    ][k]
+
+
+#: Values neither emitter can write.
+_FAULTS = [math.nan, -math.inf, np.float64(math.inf), np.array([1.0, math.nan]),
+           1 + 2j, np.array([1j]), {1, 2}, b"bytes", object(), np.bool_(True)]
+
+
+def _value(rng, depth=0):
+    """A seeded nested value, now and then holding one of ``_FAULTS``."""
+    k = int(rng.integers(10))
+    if depth > 3 or k < 4:
+        return _leaf(rng)
+    n = int(rng.integers(0, 4))
+    if k < 6:
+        return [_value(rng, depth + 1) for _ in range(n)]
+    if k < 7:
+        return tuple(_value(rng, depth + 1) for _ in range(n))
+    keys = ["cA", "θ", "", 'q"', 3, 2.5, True, None, np.float64(0.5), np.int64(3), _Name("k")]
+    if k < 9:
+        return {keys[int(rng.integers(len(keys)))]: _value(rng, depth + 1) for _ in range(n)}
+    if rng.uniform() < 0.1:
+        return [_value(rng, depth + 1), _FAULTS[int(rng.integers(len(_FAULTS)))]]
+    return {}
+
+
+def _written(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:
+        return "error", type(exc), str(exc)
+
+
+def _same_text(obj):
+    for indent in (2, None, 0):
+        got = _written(jsonio.dumps, obj, indent)
+        want = _written(_ref_emit, obj, indent, 0)
+        assert got == want, (obj, indent, got, want)
+    return got[0]
+
+
+def test_dumps_matches_frozen_emitter_on_every_cli_report(monkeypatch):
+    reports = _cli_reports(monkeypatch)
+    # every JSON-writing path of every subcommand, geometry's error report too
+    assert {c for c, _ in reports} == {
+        "simulate", "check", "geometry", "qbell", "selftest", "counterexample"
+    }
+    assert any("error" in obj for c, obj in reports if c == "geometry")
+    selftests = {(obj["protocol"], obj["selfTested"]) for c, obj in reports if c == "selftest"}
+    assert selftests == {(p, v) for p in ("addedZ", "pairedReconstruction") for v in (True, False)}
+    for _, obj in reports:
+        assert _same_text(obj) == "ok"
+
+
+def test_dumps_matches_frozen_emitter_on_seeded_values():
+    rng = np.random.default_rng(2202)
+    outcomes = collections.Counter()
+    for _ in range(3000):
+        outcomes[_same_text(_value(rng))] += 1
+    for fault in _FAULTS:
+        assert _same_text({"x": [fault]}) == "error"
+    assert outcomes["ok"] > 1000 and outcomes["error"] > 50, outcomes
+
+
+def _fields(record):
+    return {name: getattr(record, name) for name in record.__dataclass_fields__}
+
+
+def _same_record(tally, cls, ref, **values):
+    got = _written(lambda: _exact(_fields(cls(**values))))
+    want = _written(lambda: _exact(ref(**values)))
+    assert got == want, (cls.__name__, values, got, want)
+    tally[cls.__name__, "ok" if got[0] == "ok" else re.split(r",? got |magnitude ", got[2])[0]] += 1
+
+
+def _bad_vector(rng, v, hi=1.0):
+    """``v`` unchanged, or with a wrong shape, a NaN, an infinity, an entry
+    beyond [-hi, hi] or a value that is not an array of numbers."""
+    v = np.array(v, dtype=float)
+    k = int(rng.integers(14))
+    if k == 0:
+        return np.append(v, 0.5)
+    if k in (1, 2):
+        v.flat[int(rng.integers(v.size))] = [math.nan, math.inf][k - 1]
+        return v
+    if k == 3:
+        v.flat[int(rng.integers(v.size))] = -hi - 1e-6
+        return v
+    if k == 4:
+        v.flat[int(rng.integers(v.size))] = hi + 1e-6
+        return v
+    if k == 5:
+        return [["x"], "abc", None][int(rng.integers(3))]
+    return v
+
+
+#: What ``_faulty`` can do to an observable.
+_OBSERVABLE_FAULTS = ("none", "shape", "hermitian", "square", "nan", "row")
+
+
+def _faulty(m, fault, size):
+    """Observable ``m`` made misshapen, non-Hermitian or not squaring to the
+    identity by ``size``, given a NaN or cut to its first row."""
+    m = np.array(m, dtype=complex)
+    dim = m.shape[0]
+    if fault == "shape":
+        return np.eye(dim + 1, dtype=complex)
+    if fault == "hermitian":
+        m[0, dim - 1] += size
+    elif fault == "square":
+        m = m * (1.0 + size)
+    elif fault == "nan":
+        m[dim - 1, 0] = math.nan
+    elif fault == "row":
+        m = m[:1]
+    return m
+
+
+def _bad_observables(rng, ops):
+    """The pair ``ops`` with each observable left alone or given a fault,
+    and now and then a third observable or only one."""
+    out = tuple(
+        _faulty(m, _OBSERVABLE_FAULTS[max(int(rng.integers(-6, 6)), 0)],
+                float(rng.choice([1e-6, 5e-10, 2e-12])))
+        for m in ops
+    )
+    k = int(rng.integers(20))
+    if k == 0:
+        return out + (out[0],)
+    if k == 1:
+        return out[:1]
+    return out
+
+
+def test_record_checks_match_frozen_reference():
+    rng = np.random.default_rng(2203)
+    tally = collections.Counter()
+    for _ in range(400):
+        r = random_two_qubit(rng)
+        b, d = simulate_cbehavior(r), simulate_dbehavior(r)
+        _same_record(tally, CBehavior, _ref_cbehavior,
+                     cA=_bad_vector(rng, b.cA), cB=_bad_vector(rng, b.cB), c=_bad_vector(rng, b.c))
+        deltas = [_bad_vector(rng, d.deltaB), _bad_vector(rng, d.deltaA)]
+        for v in deltas:
+            if isinstance(v, np.ndarray) and rng.uniform() < 0.3:
+                v[int(rng.integers(v.size))] = float(rng.choice([-1e-6, math.nan]))
+        _same_record(tally, DBehavior, _ref_dbehavior,
+                     deltaB=deltas[0], deltaA=deltas[1], c=_bad_vector(rng, d.c))
+        g = projection_angles(r)
+        values = {name: _bad_vector(rng, getattr(g, name), hi=10.0)
+                  for name in ("thetaA", "thetaB", "phiB", "phiA")}
+        for name in ("chi", "psiPrimeNorm"):
+            values[name] = [getattr(g, name), math.nan, -math.inf, "x", None, [1.0]][
+                int(rng.choice(6, p=[0.5, 0.1, 0.1, 0.1, 0.1, 0.1]))
+            ]
+        _same_record(tally, GeometryParams, _ref_geometry_params, **values)
+        dims = [int(x) for x in rng.integers(2, 5, size=2)]
+        base, z = _embedded_pair(rng, *dims, r)
+        psi = base.psi * [1.0, 1.0 + 1e-6, 1.0 + 1e-10][int(rng.choice(3, p=[0.8, 0.1, 0.1]))]
+        if rng.uniform() < 0.1:
+            psi = psi[:-1]
+        _same_record(tally, GeneralRealization, _ref_general_realization,
+                     dimA=base.dimA, dimB=base.dimB, psi=psi,
+                     A=_bad_observables(rng, base.A), B=_bad_observables(rng, base.B))
+        b2 = _bad_observables(rng, (z,))[0]
+        if rng.uniform() < 0.2:
+            b2 = b2 + 1e-11j * (np.triu(np.ones(b2.shape), 1))
+        _same_record(tally, ExtendedRealization, _ref_extended_realization, base=base, B2=b2)
+    # each pair of faults on each side, in both orders
+    for dims in ((2, 2), (3, 4)):
+        base, z = _embedded_pair(rng, *dims, random_two_qubit(rng))
+        for side, faults in itertools.product("AB", itertools.product(_OBSERVABLE_FAULTS, repeat=2)):
+            ops = {"A": base.A, "B": base.B}
+            ops[side] = tuple(_faulty(m, f, 1e-6) for m, f in zip(ops[side], faults))
+            _same_record(tally, GeneralRealization, _ref_general_realization,
+                         dimA=base.dimA, dimB=base.dimB, psi=base.psi, **ops)
+        for fault in _OBSERVABLE_FAULTS:
+            _same_record(tally, ExtendedRealization, _ref_extended_realization,
+                         base=base, B2=_faulty(z, fault, 1e-6))
+    # every record was built, and every check of every field was reached
+    reached = [
+        *(("GeneralRealization", f"{o} {check}") for o in ("A[0]", "A[1]", "B[0]", "B[1]")
+          for check in ("is not Hermitian", "does not square to the identity", "must be 3x3")),
+        *(("GeometryParams", f"{name} must be finite")
+          for name in ("thetaA", "thetaB", "phiB", "phiA", "chi", "psiPrimeNorm")),
+        *(("DBehavior", f"{name} entries must lie in [0, 1]") for name in ("deltaB", "deltaA")),
+        ("GeneralRealization", "need exactly two observables per side"),
+        ("GeneralRealization", "psi must be normalized"),
+        ("CBehavior", "correlator "),
+        ("DBehavior", "correlator "),
+        *(("ExtendedRealization", f"B2 {check}")
+          for check in ("is not Hermitian", "does not square to the identity", "must be 3x3")),
+        *((cls.__name__, "ok") for cls in (CBehavior, DBehavior, GeometryParams,
+                                           GeneralRealization, ExtendedRealization)),
+    ]
+    assert [key for key in reached if not tally[key]] == []
+
+
+def test_stacked_observable_residuals_match_per_matrix():
+    rng = np.random.default_rng(2204)
+    for k, r in enumerate(_general_draws(rng)):
+        for ops in (r.A, r.B):
+            ops = np.array(ops) + 1e-9 * rng.normal(size=(2,) + ops[0].shape) * (k % 2)
+            herm, square = _observable_residuals(ops)
+            dim = ops.shape[-1]
+            for i, m in enumerate(ops):
+                assert herm[i] == np.abs(m - m.conj().T).max()
+                assert square[i] == np.abs(m @ m - np.eye(dim)).max()
