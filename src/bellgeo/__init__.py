@@ -31,7 +31,6 @@ from .geometry import (
     projection_angles,
     reconstruct,
     symmetry_equivalent,
-    symmetry_transforms,
 )
 from .qbell import (
     DegenerateGeometryError,

@@ -51,9 +51,9 @@ class CBehavior(Record):
         object.__setattr__(self, "cA", freeze(self.cA, (2,), name="cA"))
         object.__setattr__(self, "cB", freeze(self.cB, (2,), name="cB"))
         object.__setattr__(self, "c", freeze(self.c, (2, 2), name="c"))
-        # each field's largest magnitude, NaN-propagating, from one reduction
-        worst = max(np.maximum.reduceat(np.abs(self.flat()), _FIELD_STARTS).tolist())
-        if worst > 1.0 + VALIDATE_TOL:
+        # the largest magnitude, NaN-propagating, tested so that a NaN fails
+        worst = float(np.abs(self.flat()).max())
+        if not worst <= 1.0 + VALIDATE_TOL:
             raise ValueError(f"correlator magnitude {worst} exceeds 1")
 
     def flat(self) -> np.ndarray:
@@ -72,14 +72,15 @@ class DBehavior(Record):
         object.__setattr__(self, "deltaB", freeze(self.deltaB, (2,), name="deltaB"))
         object.__setattr__(self, "deltaA", freeze(self.deltaA, (2,), name="deltaA"))
         object.__setattr__(self, "c", freeze(self.c, (2, 2), name="c"))
-        # each field's extremes, NaN-propagating, from one reduction apiece
+        # each field's extremes, NaN-propagating, from one reduction apiece;
+        # each check below is written so that a NaN fails it
         v = np.concatenate([self.deltaB, self.deltaA, np.abs(self.c).ravel()])
         lo = np.minimum.reduceat(v, _FIELD_STARTS).tolist()
         hi = np.maximum.reduceat(v, _FIELD_STARTS).tolist()
         for k, name in enumerate(("deltaB", "deltaA")):
-            if lo[k] < -VALIDATE_TOL or hi[k] > 1.0 + VALIDATE_TOL:
+            if not (lo[k] >= -VALIDATE_TOL and hi[k] <= 1.0 + VALIDATE_TOL):
                 raise ValueError(f"{name} entries must lie in [0, 1], got {getattr(self, name)}")
-        if hi[2] > 1.0 + VALIDATE_TOL:
+        if not hi[2] <= 1.0 + VALIDATE_TOL:
             raise ValueError("correlator magnitude exceeds 1")
 
     def flat(self) -> np.ndarray:

@@ -183,7 +183,8 @@ def tlm_gap(ctilde: np.ndarray, tol: float = DEFAULT_TOL) -> float:
     ct = np.asarray(ctilde, dtype=float)
     if ct.shape != (2, 2):
         raise ValueError(f"expected a 2x2 correlator matrix, got shape {ct.shape}")
-    if np.abs(ct).max() > 1.0 + tol:
+    # written so that a NaN fails the check
+    if not np.abs(ct).max() <= 1.0 + tol:
         raise InvalidBehaviorError(
             f"correlator magnitude {np.abs(ct).max()} exceeds 1; gap undefined"
         )
@@ -191,22 +192,24 @@ def tlm_gap(ctilde: np.ndarray, tol: float = DEFAULT_TOL) -> float:
 
 
 def _over(c: np.ndarray, denom: np.ndarray) -> np.ndarray:
-    """c / denom for arrays of one shape; where denom vanishes, 0 for a zero
-    c and the always-violating sentinel 2 for any other."""
+    """c / denom, denom broadcasting to the shape of c; where denom vanishes,
+    0 for a zero c and the always-violating sentinel 2 for any other."""
     return np.divide(c, denom, out=np.where(c == 0.0, 0.0, 2.0), where=denom > 0.0)
 
 
 def _scaled(delta: np.ndarray, c: np.ndarray, side: str) -> tuple[np.ndarray, np.ndarray]:
-    """Square-root biases broadcast over (..., 2, 2), and the correlators scaled by them.
+    """Square-root biases as a (..., 2, 1) column or (..., 1, 2) row, and
+    the (..., 2, 2) correlators scaled by them.
 
     Side B divides row x by sqrt(delta^B_x), side A column y by
-    sqrt(delta^A_y).
+    sqrt(delta^A_y).  The biases are left unbroadcast: a broadcast view
+    costs more than each small array it feeds.
     """
     root = np.sqrt(np.clip(delta, 0.0, None))
     if side == "B":
-        denom = np.broadcast_to(root[..., :, None], c.shape)
+        denom = root[..., :, None]
     elif side == "A":
-        denom = np.broadcast_to(root[..., None, :], c.shape)
+        denom = root[..., None, :]
     else:
         raise ValueError("side must be 'A' or 'B'")
     return denom, _over(c, denom)
@@ -222,25 +225,17 @@ def scaled_correlators(d: DBehavior, side: str) -> np.ndarray:
     return _scaled(d.deltaB if side == "B" else d.deltaA, d.c, side)[1]
 
 
-# index of the square-root bias that scales C_xy, as [side, x, y] with side
-# B (row x, bias delta^B_x) first and side A (column y, bias delta^A_y) second
-_SCALE_INDEX = (
-    np.array([[[0, 0], [0, 0]], [[1, 1], [1, 1]]]),
-    np.array([[[0, 0], [1, 1]], [[0, 1], [0, 1]]]),
-)
-
-
 def saturation_gaps(b: CBehavior, sin2chiSq: float) -> tuple[float, float]:
     """Boundary gaps (B, A) of the scaled correlators at a branch value.
 
     The correlators are scaled by the guessing biases of the two-qubit
     point with this branch value (``d_quantities``, clipped to [0, 1]) and
-    clipped to [-1, 1] before the gap.  Both sides go through ``_tlm`` as one
-    stacked (2, 2, 2) array.  Both gaps vanish on a behavior whose geometry
-    the branch value determines.
+    clipped to [-1, 1] before the gap: the core of ``crypt_gaps_batch``,
+    with both sides stacked into one ``_tlm`` call.  Both gaps vanish on a
+    behavior whose geometry the branch value determines.
     """
-    root = np.sqrt(np.clip(d_quantities(b, sin2chiSq), 0.0, 1.0))
-    ct = _over(np.array((b.c, b.c)), root[_SCALE_INDEX])
+    dB, dA = np.minimum(d_quantities(b, sin2chiSq), 1.0)  # ``_scaled`` clips at 0
+    ct = np.array((_scaled(dB, b.c, "B")[1], _scaled(dA, b.c, "A")[1]))
     gB, gA = _tlm(np.clip(ct, -1.0, 1.0)).tolist()
     return gB, gA
 

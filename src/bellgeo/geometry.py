@@ -19,13 +19,14 @@ import numpy as np
 from .behavior import SIGN_PATTERNS, CBehavior
 from .criteria import _accepted_patterns, _branch_table, saturation_gaps
 from .jsonio import Record, freeze
-from .realization import (
-    TwoQubitRealization,
-    _correlators,
-    two_qubit_biases,
-    two_qubit_correlators,
+from .realization import TwoQubitRealization, _correlators, two_qubit_biases
+from .tolerances import (
+    DEFAULT_TOL,
+    MAX_ENTANGLED_SLACK,
+    MODEL_FIT_FACTOR,
+    ROUNDING_ZERO,
+    VALIDATE_TOL,
 )
-from .tolerances import DEFAULT_TOL, MAX_ENTANGLED_SLACK, MODEL_FIT_FACTOR, ROUNDING_ZERO
 
 
 class ReconstructionError(ValueError):
@@ -70,6 +71,25 @@ class GeometryParams(Record):
             if not math.isfinite(x):
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, x)
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        """The geometry of a JSON object, whose phiB, phiA and psiPrimeNorm
+        must agree with its thetaA, thetaB and chi within ``VALIDATE_TOL``,
+        angles mod 2 pi."""
+        g = super().from_dict(data)
+        try:
+            ref = _planar(g.thetaA, g.thetaB, g.chi)
+        except ValueError:  # 2 chi overflows to infinity
+            raise ValueError(f"chi={g.chi} outside the convention [0, pi/4]") from None
+        for name in ("phiB", "phiA", "psiPrimeNorm"):
+            d = np.subtract(getattr(g, name), getattr(ref, name))
+            if name != "psiPrimeNorm":
+                d = np.mod(d + math.pi, 2.0 * math.pi) - math.pi
+            off = float(np.abs(d).max())
+            if not off <= VALIDATE_TOL:
+                raise ValueError(f"{name} disagrees with thetaA, thetaB and chi by {off}")
+        return g
 
 
 def _planar(thetaA: np.ndarray, thetaB: np.ndarray, chi: float) -> GeometryParams:
@@ -118,26 +138,18 @@ def sign_condition_ok(g: GeometryParams, tol: float = DEFAULT_TOL) -> bool:
     return prodB <= tol and prodA <= tol
 
 
-def _reconstruct_max_entangled(b: CBehavior, tol: float) -> TwoQubitRealization:
-    # marginals carry no information at chi = pi/4; angles come from the
-    # correlators alone, with theta^A_0 = 0 as gauge
-    if max(np.abs(b.cA).max(), np.abs(b.cB).max()) > MODEL_FIT_FACTOR * tol:
-        raise ReconstructionError(
-            "branch value 1 requires vanishing marginals, got "
-            f"{np.abs(np.concatenate([b.cA, b.cB])).max()}"
-        )
-    c = np.clip(b.c, -1.0, 1.0)
+def _max_entangled_rows(c: np.ndarray) -> np.ndarray:
+    """The four candidate angle rows (thetaA_0, thetaA_1, thetaB_0, thetaB_1)
+    at chi = pi/4, one per sign assignment (sB1, sA1).
+
+    The marginals carry no information there; the angles come from the
+    correlators alone, with theta^A_0 = 0 as gauge.
+    """
+    c = np.clip(c, -1.0, 1.0)
     tB0 = math.acos(c[0, 0])
-    # the best-fitting of the four sign assignments (sB1, sA1), as in
-    # ``reconstruct``: at a loose tol a wrong one can also pass
-    signs = SIGN_PATTERNS[:4, 2:]
-    thetaA = np.stack([np.zeros(4), tB0 + signs[:, 1] * math.acos(c[1, 0])], axis=-1)
-    thetaB = np.stack([np.full(4, tB0), signs[:, 0] * math.acos(c[0, 1])], axis=-1)
-    misfit = np.abs(two_qubit_correlators(thetaA, thetaB, 1.0) - b.c).max(axis=(1, 2))
-    best = int(misfit.argmin())
-    if misfit[best] > MODEL_FIT_FACTOR * tol:
-        raise ReconstructionError("no angle assignment reproduces the correlators at chi=pi/4")
-    return TwoQubitRealization(thetaA=thetaA[best], thetaB=thetaB[best], chi=math.pi / 4)
+    sB1, sA1 = SIGN_PATTERNS[:4, 2:].T
+    rows = [np.zeros(4), tB0 + sA1 * math.acos(c[1, 0]), np.full(4, tB0), sB1 * math.acos(c[0, 1])]
+    return np.stack(rows, axis=-1)
 
 
 # the angle sign assignments (sA0, sA1, sB0, sB1) of the sign fit, in the
@@ -186,30 +198,35 @@ def _reconstruct(b: CBehavior, tol: float, table: tuple, gaps: dict) -> Geometry
                 f"for branch value {common}"
             )
             continue
-        sin2chi = math.sqrt(common)
         if common > 1.0 - MAX_ENTANGLED_SLACK:
-            try:
-                r = _reconstruct_max_entangled(b, tol)
-            except ReconstructionError as exc:
-                last_error = str(exc)
+            if max(mA, mB) > fit_tol:
+                last_error = (
+                    "branch value 1 requires vanishing marginals, got "
+                    f"{np.abs(marginals).max()}"
+                )
                 continue
-            return _canonicalize(r.thetaA, r.thetaB, r.chi)
-        cos2chi = math.sqrt(1.0 - common)
-        if mA > cos2chi + tol or mB > cos2chi + tol:
-            last_error = f"marginal magnitude {max(mA, mB)} exceeds {cos2chi}; no consistent angle"
-            continue
-        base = np.arccos(np.clip(marginals / cos2chi, -1.0, 1.0))
-        chi = 0.5 * math.asin(min(sin2chi, 1.0))
-        # the best-fitting assignment: at a loose tol a wrong one can also pass;
-        # rows (thetaA_0, thetaA_1, thetaB_0, thetaB_1)
-        theta = _ANGLE_SIGNS * base
+            theta, sin2chi, chi = _max_entangled_rows(b.c), 1.0, math.pi / 4
+            failure = "no angle assignment reproduces the correlators at chi=pi/4"
+        else:
+            sin2chi = math.sqrt(common)
+            cos2chi = math.sqrt(1.0 - common)
+            if mA > cos2chi + tol or mB > cos2chi + tol:
+                last_error = (
+                    f"marginal magnitude {max(mA, mB)} exceeds {cos2chi}; no consistent angle"
+                )
+                continue
+            base = np.arccos(np.clip(marginals / cos2chi, -1.0, 1.0))
+            theta = _ANGLE_SIGNS * base
+            chi = 0.5 * math.asin(min(sin2chi, 1.0))
+            failure = f"no sign assignment reproduces the correlators for branch value {common}"
+        # the best-fitting assignment: at a loose tol a wrong one can also pass
         cos, sin = np.cos(theta), np.sin(theta)
         model = _correlators(cos[:, :2], sin[:, :2], cos[:, 2:], sin[:, 2:], sin2chi)
-        misfit = np.abs(model - b.c).reshape(16, 4).max(axis=1)
+        misfit = np.abs(model - b.c).reshape(len(theta), 4).max(axis=1)
         best = int(misfit.argmin())
         if misfit[best] <= fit_tol:
             return _canonicalize(theta[best, :2], theta[best, 2:], chi)
-        last_error = f"no sign assignment reproduces the correlators for branch value {common}"
+        last_error = failure
     raise ReconstructionError(last_error)
 
 
@@ -225,12 +242,6 @@ def _images(r: TwoQubitRealization) -> np.ndarray:
     """Rows (thetaA, thetaB) of the four symmetry images t, -t, pi - t, pi + t."""
     t = np.concatenate([r.thetaA, r.thetaB])
     return np.array([t, -t, math.pi - t, math.pi + t])
-
-
-def symmetry_transforms(g: GeometryParams) -> list[GeometryParams]:
-    """The four geometries producing the same guessing-bias behavior."""
-    r = two_qubit_of(g)
-    return [_planar(t[:2], t[2:], r.chi) for t in _images(r)]
 
 
 def _match_geometries(g: GeometryParams, g2: GeometryParams, tol: float, b_angles: int = 1):

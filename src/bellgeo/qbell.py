@@ -59,19 +59,14 @@ class QuantumBellInequality(Record):
 class QBellCoefficients:
     """Intermediates of the construction for one side.
 
-    ``u`` is unit-norm with u00*u01 = u10*u11; ``s`` are the slopes tying
-    ``u`` to the hyperplane coefficients; ``alpha`` = u01/u00 and ``beta``
-    = u10/u11 parameterize the uniqueness equations (may be infinite when
-    a boundary coefficient vanishes).  ``dthetaRef`` is the generating
-    geometry's own-side angle difference theta_0 - theta_1.
+    ``u`` is unit-norm with u00*u01 = u10*u11 and parameterizes the
+    uniqueness equations; ``s`` are the slopes tying ``u`` to the hyperplane
+    coefficients.  ``dthetaRef`` is the generating geometry's own-side angle
+    difference theta_0 - theta_1.
     """
 
     u: np.ndarray
     s: np.ndarray
-    a: float
-    b: float
-    alpha: float
-    beta: float
     dthetaRef: float
 
 
@@ -82,7 +77,8 @@ class UniquenessReport:
 
 
 def _side_u(side: str, sd: list, dtheta: float) -> tuple[np.ndarray, float, float]:
-    """u, a and b of one side's hyperplane (see ``QBellCoefficients``).
+    """u of one side's hyperplane (see ``QBellCoefficients``) and the row
+    weights a and b it is built from, whose squares sum to 1 / sin^2(dtheta).
 
     ``sd`` holds sin(phi_x - theta_y) of the side as nested lists.
     """
@@ -138,13 +134,7 @@ def _construct_side(side: str, u: np.ndarray, a: float, b: float, D: np.ndarray,
         q=q,
         bound=1.0 / (4.0 * q),
     )
-    with np.errstate(divide="ignore"):
-        alpha = u[0, 1] / u[0, 0] if u[0, 0] != 0.0 else math.inf
-        beta = u[1, 0] / u[1, 1] if u[1, 1] != 0.0 else math.inf
-    coeff = QBellCoefficients(
-        u=freeze(u), s=freeze(s), a=a, b=b, alpha=alpha, beta=beta, dthetaRef=dtheta
-    )
-    return ineq, coeff
+    return ineq, QBellCoefficients(u=freeze(u), s=freeze(s), dthetaRef=dtheta)
 
 
 def construct_pair(g: GeometryParams):

@@ -66,9 +66,9 @@ def _check_observables(ops: tuple, dim: int, side: str):
     if shaped:
         herm, square = _observable_residuals(np.array(ops[:shaped]))
     for i in range(shaped):
-        if herm[i] > VALIDATE_TOL:
+        if not herm[i] <= VALIDATE_TOL:
             raise ValueError(f"{side}[{i}] is not Hermitian")
-        if square[i] > VALIDATE_TOL:
+        if not square[i] <= VALIDATE_TOL:
             raise ValueError(f"{side}[{i}] does not square to the identity")
     if shaped < len(ops):
         raise ValueError(f"{side}[{shaped}] must be {dim}x{dim}, got {ops[shaped].shape}")
@@ -90,7 +90,8 @@ class GeneralRealization(Record):
         psi = freeze(self.psi, dtype=complex).reshape(-1)
         if psi.shape != (self.dimA * self.dimB,):
             raise ValueError("psi length must be dimA*dimB")
-        if abs(np.linalg.norm(psi) - 1.0) > VALIDATE_TOL:
+        # each check is written so that a NaN fails it
+        if not abs(np.linalg.norm(psi) - 1.0) <= VALIDATE_TOL:
             raise ValueError("psi must be normalized")
         A = tuple(freeze(m, dtype=complex) for m in self.A)
         B = tuple(freeze(m, dtype=complex) for m in self.B)

@@ -52,21 +52,22 @@ class ExtendedRealization:
         if b2.shape != (dim, dim):
             raise ValueError(f"B2 must be {dim}x{dim}")
         herm, square = _observable_residuals(b2[None])
-        if herm[0] > ADDED_OBSERVABLE_TOL:
+        if not herm[0] <= ADDED_OBSERVABLE_TOL:
             raise ValueError("B2 is not Hermitian")
-        if square[0] > ADDED_OBSERVABLE_TOL:
+        if not square[0] <= ADDED_OBSERVABLE_TOL:
             raise ValueError("B2 does not square to the identity")
         object.__setattr__(self, "B2", b2)
 
 
-def _pair(ops, theta, mode: str) -> np.ndarray:
+def _pair(ops, theta) -> tuple[np.ndarray, np.ndarray]:
+    """The Z and X operators of one side from its two observables and angles."""
     sdt = math.sin(theta[0] - theta[1])
     if abs(sdt) < DEGENERATE_SIN:
         raise ValueError("degenerate angles: the two observables coincide")
-    if mode == "Z":
-        return (math.sin(theta[0]) * ops[1] - math.sin(theta[1]) * ops[0]) / sdt
+    z = (math.sin(theta[0]) * ops[1] - math.sin(theta[1]) * ops[0]) / sdt
     # sign chosen so the promoted realization yields +sigma1
-    return (math.cos(theta[1]) * ops[0] - math.cos(theta[0]) * ops[1]) / sdt
+    x = (math.cos(theta[1]) * ops[0] - math.cos(theta[0]) * ops[1]) / sdt
+    return z, x
 
 
 def derive_operators(r: GeneralRealization, g: GeometryParams) -> DerivedOperators:
@@ -76,12 +77,8 @@ def derive_operators(r: GeneralRealization, g: GeometryParams) -> DerivedOperato
     result is exactly (sigma3, sigma1) on both sides; in general the
     identities hold only when applied to the shared state.
     """
-    return DerivedOperators(
-        ZA=_pair(r.A, g.thetaA, "Z"),
-        XA=_pair(r.A, g.thetaA, "X"),
-        ZB=_pair(r.B, g.thetaB, "Z"),
-        XB=_pair(r.B, g.thetaB, "X"),
-    )
+    (ZA, XA), (ZB, XB) = _pair(r.A, g.thetaA), _pair(r.B, g.thetaB)
+    return DerivedOperators(ZA=ZA, XA=XA, ZB=ZB, XB=XB)
 
 
 def _apply(m: np.ndarray, alice=None, bob=None) -> np.ndarray:
@@ -136,22 +133,17 @@ def swap_isometry(
     combination of the four branch vectors.
     """
     m = r.state_matrix if state is None else np.asarray(state, dtype=complex)
+    # the operators of ancilla outcomes 0 and 1 on each side
     eyeA = np.eye(r.dimA)
     eyeB = np.eye(r.dimB)
-    pZA = {1: eyeA + ops.ZA, -1: eyeA - ops.ZA}
-    pZB = {1: eyeB + ops.ZB, -1: eyeB - ops.ZB}
-    branches = {
-        (0, 0): 0.25 * _apply(m, alice=pZA[1], bob=pZB[1]),
-        (0, 1): 0.25 * _apply(m, alice=pZA[1], bob=ops.XB @ pZB[-1]),
-        (1, 0): 0.25 * _apply(m, alice=ops.XA @ pZA[-1], bob=pZB[1]),
-        (1, 1): 0.25 * _apply(m, alice=ops.XA @ pZA[-1], bob=ops.XB @ pZB[-1]),
-    }
+    outA = (eyeA + ops.ZA, ops.XA @ (eyeA - ops.ZA))
+    outB = (eyeB + ops.ZB, ops.XB @ (eyeB - ops.ZB))
     if target is None:
         target = np.array([math.cos(chi), 0.0, 0.0, math.sin(chi)], dtype=complex)
     else:
         target = np.asarray(target, dtype=complex)
         target = target / np.linalg.norm(target)
-    out = np.stack([branches[(a, b)].reshape(-1) for a in (0, 1) for b in (0, 1)], axis=1)
+    out = np.stack([0.25 * _apply(m, alice=a, bob=b).reshape(-1) for a in outA for b in outB], axis=1)
     out_norm2 = float(np.sum(np.abs(out) ** 2))
     if out_norm2 < ZERO_NORM_SQUARED:
         raise ValueError("swap isometry produced a zero output state")

@@ -30,6 +30,11 @@ P_JSON = TwoQubitRealization(
     thetaA=[0.0, math.pi / 2], thetaB=[1e-9, -math.pi / 4], chi=math.pi / 12
 ).to_json()
 
+# the planar geometry of thetaA = (0.4, 1.9), thetaB = (0.9, -0.6), chi = 0.3
+GEOMETRY = json.loads(projection_angles(
+    TwoQubitRealization(thetaA=[0.4, 1.9], thetaB=[0.9, -0.6], chi=0.3)
+).to_json())
+
 TSIRELSON_JSON = json.dumps(
     {
         "cA": [0.0, 0.0],
@@ -140,6 +145,17 @@ def test_qbell_malformed_geometry(capsys):
     assert main(["qbell", "-i", short]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "thetaB" in err[0]
+
+
+def test_qbell_geometry_angles_agree_mod_2pi(capsys):
+    code, direct = _run(["qbell", "-i", json.dumps(GEOMETRY)])
+    assert code == 0
+    moved = dict(GEOMETRY, phiB=[GEOMETRY["phiB"][0] + 2.0 * math.pi, GEOMETRY["phiB"][1]],
+                 phiA=[GEOMETRY["phiA"][0], GEOMETRY["phiA"][1] - 4.0 * math.pi])
+    code, shifted = _run(["qbell", "-i", json.dumps(moved)])
+    assert code == 0
+    assert shifted["valueA"] == pytest.approx(direct["valueA"], abs=1e-12)
+    assert shifted["valueB"] == pytest.approx(direct["valueB"], abs=1e-12)
 
 
 def test_selftest_pass_and_fail(capsys):
@@ -847,10 +863,15 @@ NAN, INF = math.nan, math.inf
                               "phiA": [0.2, 0.3], "chi": 0.3}), "psiPrimeNorm"),
         ("selftest", json.dumps({"base": json.loads(P_JSON),
                                  "B2": [[NAN, 0], [0, 0], [0, 0], [-1, 0]]}), "B2"),
+        # a derived field that disagrees with thetaA, thetaB and chi
+        ("qbell", json.dumps(dict(GEOMETRY, phiB=[0.1, 2.0])), "phiB disagrees"),
+        ("qbell", json.dumps(dict(GEOMETRY, phiA=[-1.0, 0.7])), "phiA disagrees"),
+        ("qbell", json.dumps(dict(GEOMETRY, psiPrimeNorm=0.123)), "psiPrimeNorm disagrees"),
     ],
     ids=["cA-object", "chi-list", "psi-plain-numbers", "B2-number", "thetaB2-list",
          "base-null", "cA-nan", "deltaB-nan", "chi-nan", "thetaB-infinity", "thetaB-1e999",
-         "psiPrimeNorm-missing", "B2-nan"],
+         "psiPrimeNorm-missing", "B2-nan", "phiB-inconsistent", "phiA-inconsistent",
+         "psiPrimeNorm-inconsistent"],
 )
 def test_malformed_field_is_one_error_line(capsys, command, text, field):
     assert main([command, "-i", text]) == 1

@@ -133,8 +133,9 @@ def test_tlm_gap_examples():
     assert tlm_gap(np.zeros((2, 2))) == pytest.approx(2.0, abs=1e-15)
     ct = np.array([[1.0, root], [0.0, -root]])
     assert tlm_gap(ct) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(InvalidBehaviorError):
-        tlm_gap(np.array([[1.5, 0], [0, 0]]))
+    for bad in (1.5, math.nan):
+        with pytest.raises(InvalidBehaviorError):
+            tlm_gap(np.array([[bad, 0], [0, 0]]))
     with pytest.raises(ValueError):
         tlm_gap(np.zeros(4))
 

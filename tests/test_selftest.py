@@ -6,10 +6,11 @@ import pytest
 from bellgeo import selftest
 from bellgeo.geometry import (
     ReconstructionError,
+    _images,
     projection_angles,
     reconstruct,
     sign_condition_ok,
-    symmetry_transforms,
+    two_qubit_of,
 )
 from bellgeo.realization import (
     SIGMA1,
@@ -275,16 +276,16 @@ def _reference_pair(ext, tol=RESIDUAL_PASS):
         report["error"] = f"entanglement mismatch between reconstructions: {g.chi} vs {g2.chi}"
         return report
     matched = None
-    for cand in symmetry_transforms(g2):
-        dA = np.mod(np.asarray(cand.thetaA) - np.asarray(g.thetaA) + math.pi, 2 * math.pi) - math.pi
-        dB0 = (cand.thetaB[0] - g.thetaB[0] + math.pi) % (2 * math.pi) - math.pi
+    for cand in _images(two_qubit_of(g2)):
+        dA = np.mod(cand[:2] - np.asarray(g.thetaA) + math.pi, 2 * math.pi) - math.pi
+        dB0 = (cand[2] - g.thetaB[0] + math.pi) % (2 * math.pi) - math.pi
         if np.abs(dA).max() <= ang_tol and abs(dB0) <= ang_tol:
             matched = cand
             break
     if matched is None:
         report["error"] = "reconstructions do not share the measurement plane"
         return report
-    theta2 = float(matched.thetaB[1])
+    theta2 = float(matched[3])
     if abs(math.sin(theta2 - g.thetaB[0])) < COINCIDENT_SIN:
         report["error"] = "added observable coincides with B_0 (degenerate pair)"
         return report
