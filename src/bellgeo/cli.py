@@ -167,8 +167,7 @@ def cmd_qbell(args) -> int:
         raise CliError("qbell expects a geometry, behavior, or realization")
     try:
         ineqB, ineqA, _ = qbell.construct_pair(g)
-        r = geometry.two_qubit_of(g)
-        k = realization.two_qubit_behaviors(r.thetaA, r.thetaB, r.chi)
+        k = realization.two_qubit_behaviors(g.thetaA, g.thetaB, g.chi)
         d = behavior.DBehavior(deltaB=k.deltaB, deltaA=k.deltaA, c=k.c)
         uniq = qbell.uniqueness_check(g)
     except qbell.DegenerateGeometryError as exc:
@@ -308,18 +307,13 @@ def cmd_counterexample(args) -> int:
     if args.format == "csv":
         buf = io.StringIO()
         buf.write("section,label,c11,deltaMin,deltaMax\n")
-        markers = {
-            "B": [("P", p_d.c[1, 1], p_d.deltaB[1]), ("Q", q_d.c[1, 1], q_d.deltaB[1]),
-                  ("L", l_d.c[1, 1], l_d.deltaB[1])],
-            "A": [("P", p_d.c[1, 1], p_d.deltaA[1]), ("Q", q_d.c[1, 1], q_d.deltaA[1]),
-                  ("L", l_d.c[1, 1], l_d.deltaA[1])],
-        }
         rows = _boundary_intervals(p_d, np.linspace(-1.0, 0.2, args.samples))
         for side in ("B", "A"):
             for c11, lo, hi in rows[side]:
                 buf.write(f"{side},boundary,{c11:.10g},{lo:.10g},{hi:.10g}\n")
-            for label, c11, delta in markers[side]:
-                buf.write(f"{side},{label},{c11:.10g},{delta:.10g},{delta:.10g}\n")
+            for label, d in (("P", p_d), ("Q", q_d), ("L", l_d)):
+                delta = getattr(d, "delta" + side)[1]
+                buf.write(f"{side},{label},{d.c[1, 1]:.10g},{delta:.10g},{delta:.10g}\n")
         _write(args.output, buf.getvalue())
     else:
         _write(args.output, jsonio.dumps(report, indent=2))

@@ -19,7 +19,7 @@ import numpy as np
 from .behavior import SIGN_PATTERNS, CBehavior
 from .criteria import _accepted_patterns, _branch_table, saturation_gaps
 from .jsonio import Record, freeze
-from .realization import TwoQubitRealization, _correlators, two_qubit_biases
+from .realization import TwoQubitRealization, _check_chi, _correlators, two_qubit_biases
 from .tolerances import (
     DEFAULT_TOL,
     MAX_ENTANGLED_SLACK,
@@ -74,14 +74,12 @@ class GeometryParams(Record):
 
     @classmethod
     def from_dict(cls, data: dict):
-        """The geometry of a JSON object, whose phiB, phiA and psiPrimeNorm
-        must agree with its thetaA, thetaB and chi within ``VALIDATE_TOL``,
-        angles mod 2 pi."""
+        """The geometry of a JSON object, whose chi must lie in [0, pi/4] and
+        whose phiB, phiA and psiPrimeNorm must agree with its thetaA, thetaB
+        and chi within ``VALIDATE_TOL``, angles mod 2 pi."""
         g = super().from_dict(data)
-        try:
-            ref = _planar(g.thetaA, g.thetaB, g.chi)
-        except ValueError:  # 2 chi overflows to infinity
-            raise ValueError(f"chi={g.chi} outside the convention [0, pi/4]") from None
+        _check_chi(g.chi)
+        ref = _planar(g.thetaA, g.thetaB, g.chi)
         for name in ("phiB", "phiA", "psiPrimeNorm"):
             d = np.subtract(getattr(g, name), getattr(ref, name))
             if name != "psiPrimeNorm":
@@ -238,28 +236,26 @@ def _canonicalize(thetaA: np.ndarray, thetaB: np.ndarray, chi: float) -> Geometr
     return _planar(thetaA, thetaB, chi)
 
 
-def _images(r: TwoQubitRealization) -> np.ndarray:
+def _images(r: GeometryParams | TwoQubitRealization) -> np.ndarray:
     """Rows (thetaA, thetaB) of the four symmetry images t, -t, pi - t, pi + t."""
     t = np.concatenate([r.thetaA, r.thetaB])
     return np.array([t, -t, math.pi - t, math.pi + t])
 
 
 def _match_geometries(g: GeometryParams, g2: GeometryParams, tol: float, b_angles: int = 1):
-    """The first symmetry image of g2 whose A-angles and first ``b_angles``
-    B-angles lie within tol of g's, angles mod 2 pi; None if there is none.
+    """The angle row (thetaA_0, thetaA_1, thetaB_0, thetaB_1) of the first
+    symmetry image of g2 whose A-angles and first ``b_angles`` B-angles lie
+    within tol of g's, angles mod 2 pi; None if there is none.
 
-    The four images are compared in one broadcast, and only the matching
-    one is built.
+    The four images are compared in one broadcast; the image shares g2's chi.
     """
-    r = two_qubit_of(g2)
-    images = _images(r)
+    images = _images(g2)
     ref = np.concatenate([g.thetaA, g.thetaB[:b_angles]])
     d = np.mod(images[:, : 2 + b_angles] - ref + math.pi, 2.0 * math.pi) - math.pi
     close = np.abs(d).max(axis=1) <= tol
     if not close.any():
         return None
-    k = int(close.argmax())
-    return _planar(images[k, :2], images[k, 2:], r.chi)
+    return images[int(close.argmax())]
 
 
 def symmetry_equivalent(g1: GeometryParams, g2: GeometryParams, tol: float = DEFAULT_TOL) -> bool:

@@ -88,17 +88,14 @@ def _emit(obj: Any, indent: int | None, level: int) -> str:
         return str(obj)
     if kind is str:
         return _escape(obj)
-    # numpy scalars and subclasses of the types above
+    # numpy scalars, ndarray subclasses and subclasses of the types above;
+    # bool admits no subclass, so np.bool_ falls through to the TypeError
     if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
+        return _emit(obj.tolist(), indent, level)
     if isinstance(obj, np.floating):
-        obj = float(obj)
+        return _format_float(float(obj))
     if isinstance(obj, np.integer):
-        obj = int(obj)
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
+        return str(int(obj))
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):

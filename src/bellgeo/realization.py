@@ -41,8 +41,13 @@ class TwoQubitRealization(Record):
         object.__setattr__(self, "thetaA", freeze(self.thetaA, (2,), name="thetaA"))
         object.__setattr__(self, "thetaB", freeze(self.thetaB, (2,), name="thetaB"))
         object.__setattr__(self, "chi", float(self.chi))
-        if not -CHI_RANGE_SLACK <= self.chi <= math.pi / 4 + CHI_RANGE_SLACK:
-            raise ValueError(f"chi={self.chi} outside the convention [0, pi/4]")
+        _check_chi(self.chi)
+
+
+def _check_chi(chi: float):
+    """Raise ``ValueError`` unless chi lies in the convention [0, pi/4]."""
+    if not -CHI_RANGE_SLACK <= chi <= math.pi / 4 + CHI_RANGE_SLACK:
+        raise ValueError(f"chi={chi} outside the convention [0, pi/4]")
 
 
 @functools.cache
@@ -133,15 +138,6 @@ def _correlators(cosA, sinA, cosB, sinB, sin2chi) -> np.ndarray:
     return cosA[..., :, None] * cosB[..., None, :] + s2 * (sinA[..., :, None] * sinB[..., None, :])
 
 
-def two_qubit_correlators(thetaA, thetaB, sin2chi) -> np.ndarray:
-    """C_xy = cos(thetaA_x) cos(thetaB_y) + sin2chi sin(thetaA_x) sin(thetaB_y).
-
-    The angle arrays have shape (..., 2) and ``sin2chi`` is a scalar or has
-    their leading shape; the result has shape (..., 2, 2).
-    """
-    return _correlators(np.cos(thetaA), np.sin(thetaA), np.cos(thetaB), np.sin(thetaB), sin2chi)
-
-
 class TwoQubitBehaviors(NamedTuple):
     """Closed-form behaviors of stacked two-qubit realizations; see
     ``two_qubit_behaviors``."""
@@ -181,7 +177,7 @@ def two_qubit_behaviors(thetaA, thetaB, chi) -> TwoQubitBehaviors:
     ``thetaA`` and ``thetaB`` have shape (..., 2) and ``chi`` the leading
     shape (...); every field has those leading axes.
     - cA, cB, deltaB and deltaA as in ``two_qubit_biases``;
-    - C_xy as in ``two_qubit_correlators`` at sin(2 chi);
+    - C_xy = cos(thetaA_x) cos(thetaB_y) + sin(2 chi) sin(thetaA_x) sin(thetaB_y);
     - compB and compA, 1 - c~^2 of the correlators scaled by sqrt(deltaB_x)
       and by sqrt(deltaA_y), with 1 where the bias vanishes.
     These are the values of ``simulate_cbehavior`` and ``simulate_dbehavior``

@@ -13,7 +13,7 @@ of a chain that adds any number of observables against one certified base.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -199,8 +199,7 @@ def protocol_zb(ext: ExtendedRealization, tol: float = RESIDUAL_PASS) -> dict:
     if max(conditions.values()) > tol:
         report["error"] = "added-measurement correlators do not match the geometry"
         return report
-    derived = derive_operators(r, g)
-    ops = DerivedOperators(ZA=derived.ZA, XA=derived.XA, ZB=ext.B2, XB=derived.XB)
+    ops = replace(derive_operators(r, g), ZB=ext.B2)
     residuals = anticommutator_residual(r, ops, g)
     report["residuals"] = residuals
     report["fidelity"] = swap_isometry(r, ops, g.chi)
@@ -222,10 +221,10 @@ def _added_angle(g: GeometryParams, extended: CBehavior, ang_tol: float):
         return None, f"extended behavior fails reconstruction: {exc}"
     if abs(g.chi - g2.chi) > ang_tol:
         return None, f"entanglement mismatch between reconstructions: {g.chi} vs {g2.chi}"
-    matched = _match_geometries(g, g2, ang_tol)
-    if matched is None:
+    row = _match_geometries(g, g2, ang_tol)
+    if row is None:
         return None, "reconstructions do not share the measurement plane"
-    theta2 = float(matched.thetaB[1])
+    theta2 = float(row[3])
     if abs(math.sin(theta2 - g.thetaB[0])) < COINCIDENT_SIN:
         return None, "added observable coincides with B_0 (degenerate pair)"
     return theta2, None

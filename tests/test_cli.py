@@ -35,6 +35,15 @@ GEOMETRY = json.loads(projection_angles(
     TwoQubitRealization(thetaA=[0.4, 1.9], thetaB=[0.9, -0.6], chi=0.3)
 ).to_json())
 
+
+def _geometry_at(chi):
+    """GEOMETRY's angles at ``chi``, with phiB, phiA and psiPrimeNorm derived
+    from them, so that only the range of chi can be at fault."""
+    s2 = math.sin(2.0 * chi)
+    phi = [math.atan2(math.sin(t) * s2, math.cos(t)) for t in (0.4, 1.9, 0.9, -0.6)]
+    return dict(GEOMETRY, phiB=phi[:2], phiA=phi[2:], chi=chi, psiPrimeNorm=math.cos(2.0 * chi))
+
+
 TSIRELSON_JSON = json.dumps(
     {
         "cA": [0.0, 0.0],
@@ -867,11 +876,15 @@ NAN, INF = math.nan, math.inf
         ("qbell", json.dumps(dict(GEOMETRY, phiB=[0.1, 2.0])), "phiB disagrees"),
         ("qbell", json.dumps(dict(GEOMETRY, phiA=[-1.0, 0.7])), "phiA disagrees"),
         ("qbell", json.dumps(dict(GEOMETRY, psiPrimeNorm=0.123)), "psiPrimeNorm disagrees"),
+        # a consistent geometry whose chi lies outside [0, pi/4]
+        *(("qbell", json.dumps(_geometry_at(chi)),
+           f"error: cannot parse input object: chi={chi} outside the convention [0, pi/4]")
+          for chi in (-0.1, 1.0, 3.0)),
     ],
     ids=["cA-object", "chi-list", "psi-plain-numbers", "B2-number", "thetaB2-list",
          "base-null", "cA-nan", "deltaB-nan", "chi-nan", "thetaB-infinity", "thetaB-1e999",
          "psiPrimeNorm-missing", "B2-nan", "phiB-inconsistent", "phiA-inconsistent",
-         "psiPrimeNorm-inconsistent"],
+         "psiPrimeNorm-inconsistent", "chi-negative", "chi-1", "chi-3"],
 )
 def test_malformed_field_is_one_error_line(capsys, command, text, field):
     assert main([command, "-i", text]) == 1
