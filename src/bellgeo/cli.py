@@ -64,8 +64,6 @@ def _parse_object(data: dict):
         cls = behavior.CBehavior
     elif "deltaB" in data and "deltaA" in data:
         cls = behavior.DBehavior
-    elif "side" in data and "Vmarg" in data:
-        cls = qbell.QuantumBellInequality
     else:
         raise CliError("unrecognized input object (no known field signature)")
     try:

@@ -12,14 +12,14 @@ determines this geometry uniquely up to four obvious symmetries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .behavior import SIGN_PATTERNS, CBehavior
 from .criteria import _accepted_patterns, _branch_table, saturation_gaps
 from .jsonio import Record, freeze
-from .realization import TwoQubitRealization, _check_chi, _correlators, two_qubit_biases
+from .realization import TwoQubitRealization, _check_planar, _correlators, two_qubit_biases
 from .tolerances import (
     DEFAULT_TOL,
     MAX_ENTANGLED_SLACK,
@@ -33,55 +33,45 @@ class ReconstructionError(ValueError):
     """The behavior does not determine a consistent planar geometry."""
 
 
-#: The angle fields of ``GeometryParams``, in declaration order.
-_ANGLES = ("thetaA", "thetaB", "phiB", "phiA")
-
-
 @dataclass(frozen=True)
 class GeometryParams(Record):
-    """Angles (radians) and the inter-plane vector norm of the planar picture."""
+    """The planar picture of (thetaA, thetaB, chi), angles in radians.
+
+    The projection angles phiB, phiA and the inter-plane vector norm
+    psiPrimeNorm are derived from the three defining fields.
+    """
 
     thetaA: np.ndarray
     thetaB: np.ndarray
-    phiB: np.ndarray
-    phiA: np.ndarray
+    phiB: np.ndarray = field(init=False)
+    phiA: np.ndarray = field(init=False)
     chi: float
-    psiPrimeNorm: float
+    psiPrimeNorm: float = field(init=False)
 
     def __post_init__(self):
-        # the angles up to the first that cannot be frozen, checked finite in
-        # one broadcast, so the first bad field decides the error
-        angles, failure = [], None
-        for name in _ANGLES:
-            try:
-                angles.append(freeze(getattr(self, name), (2,), name=name))
-            except (TypeError, ValueError, OverflowError) as exc:  # raised after the finite check
-                failure = exc
-                break
-        if angles:
-            finite = np.isfinite(np.array(angles)).all(axis=1).tolist()
-            if False in finite:
-                raise ValueError(f"{_ANGLES[finite.index(False)]} must be finite")
-        if failure is not None:
-            raise failure
-        for name, a in zip(_ANGLES, angles):
-            object.__setattr__(self, name, a)
-        for name in ("chi", "psiPrimeNorm"):
-            x = float(getattr(self, name))
-            if not math.isfinite(x):
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, x)
+        """Check the defining fields, then derive the others: the projection
+        of A_x into Bob's plane sits at
+        phi^B_x = atan2(sin(theta^A_x) sin(2 chi), cos(theta^A_x)), and
+        symmetrically for phi^A_y."""
+        _check_planar(self)
+        theta = np.concatenate([self.thetaA, self.thetaB])
+        phi = np.arctan2(np.sin(theta) * math.sin(2.0 * self.chi), np.cos(theta))
+        phi.setflags(write=False)
+        object.__setattr__(self, "phiB", phi[:2])
+        object.__setattr__(self, "phiA", phi[2:])
+        object.__setattr__(self, "psiPrimeNorm", math.cos(2.0 * self.chi))
 
     @classmethod
     def from_dict(cls, data: dict):
-        """The geometry of a JSON object, whose chi must lie in [0, pi/4] and
-        whose phiB, phiA and psiPrimeNorm must agree with its thetaA, thetaB
-        and chi within ``VALIDATE_TOL``, angles mod 2 pi."""
+        """The geometry of a JSON object, whose phiB, phiA and psiPrimeNorm
+        must agree with the ones derived from its thetaA, thetaB and chi
+        within ``VALIDATE_TOL``, angles mod 2 pi."""
         g = super().from_dict(data)
-        _check_chi(g.chi)
-        ref = _planar(g.thetaA, g.thetaB, g.chi)
-        for name in ("phiB", "phiA", "psiPrimeNorm"):
-            d = np.subtract(getattr(g, name), getattr(ref, name))
+        # every shape before any value, so a misshapen field is named first
+        given = {name: freeze(data[name], np.shape(getattr(g, name)), name=name)
+                 for name in ("phiB", "phiA", "psiPrimeNorm")}
+        for name, value in given.items():
+            d = np.subtract(value, getattr(g, name))
             if name != "psiPrimeNorm":
                 d = np.mod(d + math.pi, 2.0 * math.pi) - math.pi
             off = float(np.abs(d).max())
@@ -90,29 +80,9 @@ class GeometryParams(Record):
         return g
 
 
-def _planar(thetaA: np.ndarray, thetaB: np.ndarray, chi: float) -> GeometryParams:
-    """The geometry of (thetaA, thetaB, chi): one arctan2 over all four angles."""
-    s2 = math.sin(2.0 * chi)
-    theta = np.concatenate([thetaA, thetaB])
-    phi = np.arctan2(np.sin(theta) * s2, np.cos(theta))
-    return GeometryParams(
-        thetaA=thetaA,
-        thetaB=thetaB,
-        phiB=phi[:2],
-        phiA=phi[2:],
-        chi=chi,
-        psiPrimeNorm=math.cos(2.0 * chi),
-    )
-
-
 def projection_angles(r: TwoQubitRealization) -> GeometryParams:
-    """Planar angles of a two-qubit realization.
-
-    The projection of A_x into Bob's plane sits at
-    phi^B_x = atan2(sin(theta^A_x) sin(2 chi), cos(theta^A_x)), and
-    symmetrically for phi^A_y.
-    """
-    return _planar(r.thetaA, r.thetaB, r.chi)
+    """Planar geometry of a two-qubit realization."""
+    return GeometryParams(thetaA=r.thetaA, thetaB=r.thetaB, chi=r.chi)
 
 
 def two_qubit_of(g: GeometryParams) -> TwoQubitRealization:
@@ -233,7 +203,7 @@ def _canonicalize(thetaA: np.ndarray, thetaB: np.ndarray, chi: float) -> Geometr
     sB = math.sin(thetaB[0])
     if sA < -ROUNDING_ZERO or (abs(sA) <= ROUNDING_ZERO and sB < -ROUNDING_ZERO):
         thetaA, thetaB = -thetaA, -thetaB
-    return _planar(thetaA, thetaB, chi)
+    return GeometryParams(thetaA=thetaA, thetaB=thetaB, chi=chi)
 
 
 def _images(r: GeometryParams | TwoQubitRealization) -> np.ndarray:

@@ -13,7 +13,8 @@ written as flattened row-major ``[re, im]`` pairs (a tuple of matrices as
 one such list per matrix).  The decoder checks every field of outside
 input, its presence, JSON type and finiteness, and raises ``ValueError``
 naming the field; shapes and ranges are checked by the record's
-constructor.
+constructor, which takes only the fields declared with ``init``, the
+others being derived from them.
 """
 
 from __future__ import annotations
@@ -197,8 +198,8 @@ record_fields = functools.cache(dataclasses.fields)
 
 @functools.cache
 def _codec(cls) -> tuple:
-    """(name, complex kind or None, type) of each field of ``cls``."""
-    return tuple((f.name, f.metadata.get("complex"), f.type) for f in record_fields(cls))
+    """(name, complex kind or None, type, init) of each field of ``cls``."""
+    return tuple((f.name, f.metadata.get("complex"), f.type, f.init) for f in record_fields(cls))
 
 
 def _encode(kind, value):
@@ -223,7 +224,7 @@ class Record:
     def to_json_dict(self) -> dict:
         return {
             name: getattr(self, name) if kind is None else _encode(kind, getattr(self, name))
-            for name, kind, _ in _codec(type(self))
+            for name, kind, _, _ in _codec(type(self))
         }
 
     def to_json(self, indent: int | None = None) -> str:
@@ -234,10 +235,12 @@ class Record:
         if not isinstance(data, dict):
             raise ValueError(f"{cls.__name__} must be a JSON object")
         values = {}
-        for name, kind, type_ in _codec(cls):
+        for name, kind, type_, init in _codec(cls):
             if name not in data:
                 raise ValueError(f"missing field {name!r}")
-            values[name] = _decode(name, kind, type_, data[name])
+            value = _decode(name, kind, type_, data[name])
+            if init:
+                values[name] = value
         return cls(**values)
 
     @classmethod

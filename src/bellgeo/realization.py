@@ -38,16 +38,24 @@ class TwoQubitRealization(Record):
     chi: float
 
     def __post_init__(self):
-        object.__setattr__(self, "thetaA", freeze(self.thetaA, (2,), name="thetaA"))
-        object.__setattr__(self, "thetaB", freeze(self.thetaB, (2,), name="thetaB"))
-        object.__setattr__(self, "chi", float(self.chi))
-        _check_chi(self.chi)
+        _check_planar(self)
 
 
-def _check_chi(chi: float):
-    """Raise ``ValueError`` unless chi lies in the convention [0, pi/4]."""
+def _check_planar(record):
+    """Freeze the thetaA, thetaB and chi of a planar record in place: finite
+    angle pairs and a finite chi in the convention [0, pi/4]; the first bad
+    field raises ``ValueError`` naming it."""
+    for name in ("thetaA", "thetaB"):
+        a = freeze(getattr(record, name), (2,), name=name)
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} must be finite")
+        object.__setattr__(record, name, a)
+    chi = float(record.chi)
+    if not math.isfinite(chi):
+        raise ValueError("chi must be finite")
     if not -CHI_RANGE_SLACK <= chi <= math.pi / 4 + CHI_RANGE_SLACK:
         raise ValueError(f"chi={chi} outside the convention [0, pi/4]")
+    object.__setattr__(record, "chi", chi)
 
 
 @functools.cache

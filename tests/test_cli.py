@@ -157,14 +157,14 @@ def test_qbell_malformed_geometry(capsys):
 
 
 def test_qbell_geometry_angles_agree_mod_2pi(capsys):
-    code, direct = _run(["qbell", "-i", json.dumps(GEOMETRY)])
-    assert code == 0
+    # the derived fields of the input are checked, then replaced by the
+    # derived values: a shifted geometry prints the unshifted one's output
+    assert main(["qbell", "-i", json.dumps(GEOMETRY)]) == 0
+    direct = capsys.readouterr()
     moved = dict(GEOMETRY, phiB=[GEOMETRY["phiB"][0] + 2.0 * math.pi, GEOMETRY["phiB"][1]],
                  phiA=[GEOMETRY["phiA"][0], GEOMETRY["phiA"][1] - 4.0 * math.pi])
-    code, shifted = _run(["qbell", "-i", json.dumps(moved)])
-    assert code == 0
-    assert shifted["valueA"] == pytest.approx(direct["valueA"], abs=1e-12)
-    assert shifted["valueB"] == pytest.approx(direct["valueB"], abs=1e-12)
+    assert main(["qbell", "-i", json.dumps(moved)]) == 0
+    assert capsys.readouterr() == direct
 
 
 def test_selftest_pass_and_fail(capsys):
@@ -880,11 +880,16 @@ NAN, INF = math.nan, math.inf
         *(("qbell", json.dumps(_geometry_at(chi)),
            f"error: cannot parse input object: chi={chi} outside the convention [0, pi/4]")
           for chi in (-0.1, 1.0, 3.0)),
+        # a quantum Bell inequality is output only, no command reads one
+        ("check", json.dumps({"side": "B", "Vmarg": [0.1, 0.2], "Vcorr": [[1, 0], [0, 1]],
+                              "q": 0.5, "bound": 0.5}),
+         "error: unrecognized input object (no known field signature)"),
     ],
     ids=["cA-object", "chi-list", "psi-plain-numbers", "B2-number", "thetaB2-list",
          "base-null", "cA-nan", "deltaB-nan", "chi-nan", "thetaB-infinity", "thetaB-1e999",
          "psiPrimeNorm-missing", "B2-nan", "phiB-inconsistent", "phiA-inconsistent",
-         "psiPrimeNorm-inconsistent", "chi-negative", "chi-1", "chi-3"],
+         "psiPrimeNorm-inconsistent", "chi-negative", "chi-1", "chi-3",
+         "quantum-bell-inequality"],
 )
 def test_malformed_field_is_one_error_line(capsys, command, text, field):
     assert main([command, "-i", text]) == 1

@@ -187,8 +187,9 @@ def test_geometry_json_round_trip():
      ("chi", math.inf), ("psiPrimeNorm", math.nan)],
 )
 def test_geometry_params_reject_bad_shapes_and_nonfinite(field, value):
-    fields = dict(thetaA=[0.1, 1.0], thetaB=[0.3, 0.4], phiB=[0.1, 0.2], phiA=[0.2, 0.3],
-                  chi=0.3, psiPrimeNorm=0.5)
+    fields = projection_angles(
+        TwoQubitRealization(thetaA=[0.1, 1.0], thetaB=[0.3, 0.4], chi=0.3)
+    ).to_json_dict()
     fields[field] = value
     with pytest.raises(ValueError, match=field):
-        GeometryParams(**fields)
+        GeometryParams.from_dict(fields)

@@ -25,15 +25,23 @@ emitter writes them, and seeded malformed fields must give each record the
 same error type and message, or the same frozen values.  The one exception
 is a NaN: the frozen checks let some through, and each record must now
 reject it with a ``ValueError``.
+
+The planar geometry takes thetaA, thetaB and chi and derives the rest.
+The frozen geometry code builds its own six-field record, under the live
+record's name, so the comparison stays bit for bit.
+Seeded faults in the derived fields go through ``GeometryParams.from_dict``
+and must each be a ``ValueError`` naming the field.
 """
 
 import collections
 import contextlib
+import dataclasses
 import io
 import itertools
 import json
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -274,11 +282,33 @@ def _ref_extremal_criterion(b, tol=DEFAULT_TOL):
 # -- frozen copies: geometry ---------------------------------------------------
 
 
+@dataclasses.dataclass(frozen=True)
+class _RefGeometryParams:
+    """The six-field geometry record whose derived fields were inputs, under
+    the live record's name so that ``_exact`` compares the two."""
+
+    thetaA: np.ndarray
+    thetaB: np.ndarray
+    phiB: np.ndarray
+    phiA: np.ndarray
+    chi: float
+    psiPrimeNorm: float
+
+    def __post_init__(self):
+        for name in ("thetaA", "thetaB", "phiB", "phiA"):
+            object.__setattr__(self, name, freeze(getattr(self, name), (2,), name=name))
+        for name in ("chi", "psiPrimeNorm"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+
+
+_RefGeometryParams.__name__ = _RefGeometryParams.__qualname__ = "GeometryParams"
+
+
 def _ref_projection_angles(r):
     s2 = math.sin(2.0 * r.chi)
     phiB = np.arctan2(np.sin(r.thetaA) * s2, np.cos(r.thetaA))
     phiA = np.arctan2(np.sin(r.thetaB) * s2, np.cos(r.thetaB))
-    return GeometryParams(
+    return _RefGeometryParams(
         thetaA=r.thetaA, thetaB=r.thetaB, phiB=phiB, phiA=phiA, chi=r.chi,
         psiPrimeNorm=math.cos(2.0 * r.chi),
     )
@@ -658,17 +688,16 @@ def _ref_dbehavior(deltaB, deltaA, c):
 
 def _ref_geometry_params(**values):
     fields = {}
-    for name in ("thetaA", "thetaB", "phiB", "phiA"):
+    for name in ("thetaA", "thetaB"):
         a = freeze(values[name], (2,), name=name)
         if not np.isfinite(a).all():
             raise ValueError(f"{name} must be finite")
         fields[name] = a
-    for name in ("chi", "psiPrimeNorm"):
-        x = float(values[name])
-        if not math.isfinite(x):
-            raise ValueError(f"{name} must be finite")
-        fields[name] = x
-    return fields
+    x = float(values["chi"])
+    if not math.isfinite(x):
+        raise ValueError("chi must be finite")
+    fields["chi"] = x
+    return _fields(_ref_projection_angles(SimpleNamespace(**fields)))
 
 
 def _ref_check_observable(m, dim, name):
@@ -821,7 +850,7 @@ def test_kernels_match_frozen_reference():
             moved = GeometryParams(
                 thetaA=shift + sign * g.thetaA + rng.normal(0.0, 1e-6, 2),
                 thetaB=shift + sign * g.thetaB + rng.normal(0.0, 1e-6, 2),
-                phiB=g.phiB, phiA=g.phiA, chi=g.chi, psiPrimeNorm=g.psiPrimeNorm,
+                chi=g.chi,
             )
             for tol, b_angles in ((1e-5, 1), (1e-7, 2)):
                 _same(tally, label, _matched_geometry, _ref_match_geometries, g, moved, tol,
@@ -1193,6 +1222,18 @@ def _same_record(tally, cls, ref, **values):
     tally[cls.__name__, "ok" if got[0] == "ok" else re.split(r",? got |magnitude ", got[2])[0]] += 1
 
 
+def _derived_input(tally, g, name, value):
+    """``GeometryParams.from_dict`` of g's fields with the derived field
+    ``name`` set to ``value``: g itself where value is g's own, else a
+    ``ValueError`` naming the field."""
+    got = _written(lambda: _exact(GeometryParams.from_dict(dict(_fields(g), **{name: value}))))
+    if _exact(value) == _exact(getattr(g, name)):
+        assert got == ("ok", _exact(g)), (name, value, got)
+    else:
+        assert got[0] == "error" and got[1] is ValueError and name in got[2], (name, value, got)
+    tally["GeometryParams", "ok" if got[0] == "ok" else re.split(r",? got | by ", got[2])[0]] += 1
+
+
 def _bad_vector(rng, v, hi=1.0):
     """``v`` unchanged, or with a wrong shape, a NaN, an infinity, an entry
     beyond [-hi, hi] or a value that is not an array of numbers."""
@@ -1273,7 +1314,10 @@ def test_record_checks_match_frozen_reference():
             values[name] = [getattr(g, name), math.nan, -math.inf, "x", None, [1.0]][
                 int(rng.choice(6, p=[0.5, 0.1, 0.1, 0.1, 0.1, 0.1]))
             ]
-        _same_record(tally, GeometryParams, _ref_geometry_params, **values)
+        _same_record(tally, GeometryParams, _ref_geometry_params,
+                     **{name: values[name] for name in ("thetaA", "thetaB", "chi")})
+        for name in ("phiB", "phiA", "psiPrimeNorm"):
+            _derived_input(tally, g, name, values[name])
         dims = [int(x) for x in rng.integers(2, 5, size=2)]
         base, z = _embedded_pair(rng, *dims, r)
         psi = base.psi * [1.0, 1.0 + 1e-6, 1.0 + 1e-10][int(rng.choice(3, p=[0.8, 0.1, 0.1]))]
@@ -1303,6 +1347,8 @@ def test_record_checks_match_frozen_reference():
           for check in ("is not Hermitian", "does not square to the identity", "must be 3x3")),
         *(("GeometryParams", f"{name} must be finite")
           for name in ("thetaA", "thetaB", "phiB", "phiA", "chi", "psiPrimeNorm")),
+        *(("GeometryParams", f"{name} disagrees with thetaA, thetaB and chi")
+          for name in ("phiB", "phiA")),
         *(("DBehavior", f"{name} entries must lie in [0, 1]") for name in ("deltaB", "deltaA")),
         ("GeneralRealization", "need exactly two observables per side"),
         ("GeneralRealization", "psi must be normalized"),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bellgeo.geometry import GeometryParams
 from bellgeo.realization import (
     GeneralRealization,
     TwoQubitRealization,
@@ -68,6 +69,24 @@ def test_chi_range_validation():
         TwoQubitRealization(thetaA=[0, 1], thetaB=[0, 1], chi=1.0)
     with pytest.raises(ValueError):
         TwoQubitRealization(thetaA=[0, 1], thetaB=[0, 1], chi=-0.1)
+
+
+NONFINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+
+
+@pytest.mark.parametrize("cls", [TwoQubitRealization, GeometryParams])
+@pytest.mark.parametrize(
+    "field, value",
+    [pytest.param(name, [x, 0.5][::order], id=f"{name}{k}-{label}")
+     for name in ("thetaA", "thetaB") for label, x in NONFINITE.items()
+     for k, order in ((0, 1), (1, -1))]
+    + [pytest.param("chi", NONFINITE[label], id=f"chi-{label}") for label in ("nan", "inf")],
+)
+def test_planar_records_reject_nonfinite_fields(cls, field, value):
+    fields = dict(thetaA=[0.1, 1.0], thetaB=[0.3, 0.4], chi=0.3)
+    fields[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        cls(**fields)
 
 
 def test_general_realization_validation():
