@@ -230,12 +230,15 @@ def saturation_gaps(b: CBehavior, sin2chiSq: float) -> tuple[float, float]:
 
     The correlators are scaled by the guessing biases of the two-qubit
     point with this branch value (``d_quantities``, clipped to [0, 1]) and
-    clipped to [-1, 1] before the gap: the core of ``crypt_gaps_batch``,
-    with both sides stacked into one ``_tlm`` call.  Both gaps vanish on a
-    behavior whose geometry the branch value determines.
+    clipped to [-1, 1] before the gap, as in ``crypt_gaps_batch``: both
+    sides in one (2, 2, 2) stack, one ``_over`` and one ``_tlm`` call.
+    Both gaps vanish on a behavior whose geometry the branch value
+    determines.
     """
-    dB, dA = np.minimum(d_quantities(b, sin2chiSq), 1.0)  # ``_scaled`` clips at 0
-    ct = np.array((_scaled(dB, b.c, "B")[1], _scaled(dA, b.c, "A")[1]))
+    root = np.sqrt(np.clip(d_quantities(b, sin2chiSq), 0.0, 1.0))
+    # side B divides row x by sqrt(delta^B_x), side A column y by sqrt(delta^A_y)
+    denom = np.array((root[(0, 0), :].T, root[(1, 1), :]))
+    ct = _over(np.array((b.c, b.c)), denom)
     gB, gA = _tlm(np.clip(ct, -1.0, 1.0)).tolist()
     return gB, gA
 

@@ -1,42 +1,23 @@
-"""The loop-free kernels against frozen copies of the per-call code.
+"""Kernels and record checks against frozen copies of the code they
+replaced, where the CLI does not print the result: ``test_golden.py``
+checks what it prints (reconstruction, extremal criterion, uniqueness,
+simulation, the JSON of every report).
 
-The branch table, the saturation gaps, the reconstruction, the symmetry
-match, the hyperplane pair and the uniqueness check were each rebuilt from
-fewer, batched numpy calls, sharing one branch table per ``check``.  The
-copies below are the implementations they replaced, kept verbatim apart
-from names, and each calls only other frozen copies and the record types, so
-a change to any live kernel shows.  On seeded draws that reach every branch,
-every result must be bit for bit the same, and every error the same type
-with the same message.  The symmetry match now returns the matching angle
-row, which the comparison rebuilds into the frozen copy's geometry.
-
-The Z/X operators of ``selftest`` were rebuilt as one (Z, X) kernel per
-side, and the swap circuit over the two outcome operators of each side.
-Their operators and fidelities must equal the frozen ones bit for bit.
-
-The simulation of general realizations was rebuilt on one reduced state
-and one eigendecomposition per side.  Its correlators must equal the
-frozen ones bit for bit and its guessing biases must agree to 1e-14.
-
-The JSON emitter was rebuilt to dispatch on exact types, and the record
-constructors to check their fields in one broadcast each.  Every CLI report
-and a seeded corpus of values must serialize byte for byte as the frozen
-emitter writes them, and seeded malformed fields must give each record the
-same error type and message, or the same frozen values.  The one exception
-is a NaN: the frozen checks let some through, and each record must now
-reject it with a ``ValueError``.
-
-The planar geometry takes thetaA, thetaB and chi and derives the rest.
-The frozen geometry code builds its own six-field record, under the live
-record's name, so the comparison stays bit for bit.
-Seeded faults in the derived fields go through ``GeometryParams.from_dict``
-and must each be a ``ValueError`` naming the field.
+On seeded draws, every result must be bit for bit that of the frozen copy,
+and every error the same type with the same message: the branch patterns of
+``two_qubit_condition``, the saturation gaps at any branch value, the gap
+kernel with a given complement, the ``QBellCoefficients`` of
+``construct_pair``, the symmetry match (its angle row rebuilt into the
+frozen geometry), the (Z, X) operators and the swap isometry at a given
+state and target, the JSON emitter on values the CLI never writes, and the
+record constructors on malformed fields, where a NaN, which the frozen
+checks let through, must be a ``ValueError``.  The copies are verbatim
+apart from names and call only each other and the record types; the frozen
+geometry code builds its six-field record under the live record's name.
 """
 
 import collections
-import contextlib
 import dataclasses
-import io
 import itertools
 import json
 import math
@@ -46,21 +27,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from bellgeo import jsonio
-from bellgeo.behavior import (
-    SIGN_PATTERNS,
-    CBehavior,
-    DBehavior,
-    InvalidBehaviorError,
-)
-from bellgeo.cli import main
-from bellgeo.criteria import (
-    ExtremalVerdict,
-    SignPattern,
-    crypt_gaps_batch,
-    extremal_criterion,
-    saturation_gaps,
-    two_qubit_condition,
-)
+from bellgeo.behavior import SIGN_PATTERNS, CBehavior, DBehavior, InvalidBehaviorError
+from bellgeo.criteria import SignPattern, crypt_gaps_batch, saturation_gaps, two_qubit_condition
 from bellgeo.geometry import (
     GeometryParams,
     ReconstructionError,
@@ -72,9 +40,7 @@ from bellgeo.qbell import (
     DegenerateGeometryError,
     QBellCoefficients,
     QuantumBellInequality,
-    UniquenessReport,
     construct_pair,
-    uniqueness_check,
 )
 from bellgeo.jsonio import freeze
 from bellgeo.realization import (
@@ -82,9 +48,6 @@ from bellgeo.realization import (
     GeneralRealization,
     TwoQubitRealization,
     _observable_residuals,
-    embed,
-    guessing_bias,
-    haar_unitary,
     promote,
     random_two_qubit,
     simulate_cbehavior,
@@ -100,61 +63,24 @@ from bellgeo.selftest import (
     swap_isometry,
 )
 from bellgeo.tolerances import (
+    ADDED_OBSERVABLE_TOL,
     DEFAULT_TOL,
     DEGENERATE_SIN,
-    MAX_ENTANGLED_SLACK,
-    MODEL_FIT_FACTOR,
     ORIENTATION_SLACK,
-    RANK_TOL,
-    RATIO_DENOMINATOR_MIN,
-    ROOT_RESIDUAL,
-    ROOT_SEPARATION,
     ROUNDING_ZERO,
-    SUPPORT_CUTOFF,
-    ADDED_OBSERVABLE_TOL,
     VALIDATE_TOL,
     ZERO_NORM_SQUARED,
     root_tol,
 )
-from realizations import random_conforming, reference_realization
-
-# -- frozen copies: behavior ---------------------------------------------------
-
-_REF_SIGN_A = np.array([1.0, -1.0]).reshape(2, 1, 1, 1)
-_REF_SIGN_B = _REF_SIGN_A.reshape(1, 2, 1, 1)
-_REF_CHSH_SIGNS = SIGN_PATTERNS[SIGN_PATTERNS.prod(axis=1) < 0].astype(float)
-
-
-def _ref_is_valid(b, tol=DEFAULT_TOL):
-    p = 0.25 * (
-        1.0 + _REF_SIGN_A * b.cA[:, None] + _REF_SIGN_B * b.cB + _REF_SIGN_A * _REF_SIGN_B * b.c
-    )
-    return bool(p.min() >= -tol)
-
-
-def _ref_is_local(b, tol=DEFAULT_TOL):
-    if not _ref_is_valid(b, tol):
-        raise InvalidBehaviorError("is_local requires a valid behavior")
-    return bool(np.abs(b.c.reshape(4) @ _REF_CHSH_SIGNS.T).max() <= 2.0 + tol)
-
-
-# -- frozen copies: realization kernels ----------------------------------------
-
-
-def _ref_two_qubit_correlators(thetaA, thetaB, sin2chi):
-    cosA, sinA, cosB, sinB = np.cos(thetaA), np.sin(thetaA), np.cos(thetaB), np.sin(thetaB)
-    s2 = np.asarray(sin2chi, dtype=float)[..., None, None]
-    return cosA[..., :, None] * cosB[..., None, :] + s2 * (sinA[..., :, None] * sinB[..., None, :])
-
-
-def _ref_two_qubit_biases(thetaA, thetaB, chi):
-    chi = np.asarray(chi, dtype=float)
-    c2 = np.cos(2.0 * chi)[..., None]
-    s2sq = (np.sin(2.0 * chi) ** 2)[..., None]
-    cA = c2 * np.cos(thetaA)
-    cB = c2 * np.cos(thetaB)
-    return cA, cB, cA**2 + s2sq, cB**2 + s2sq
-
+from realizations import (
+    PUSH_SIZES,
+    draws,
+    embedded_pair,
+    general_draws,
+    pushed_draws,
+    random_conforming,
+    selftest_draws,
+)
 
 # -- frozen copies: criteria ---------------------------------------------------
 
@@ -244,41 +170,6 @@ def _ref_crypt_gaps_batch(deltaB, deltaA, c, tol=DEFAULT_TOL, comp=None):
     return gaps
 
 
-def _ref_extremal_criterion(b, tol=DEFAULT_TOL):
-    if not _ref_is_valid(b, tol):
-        raise InvalidBehaviorError("extremal criterion requires a valid behavior")
-    if _ref_is_local(b, tol):
-        raise InvalidBehaviorError("extremal criterion addresses nonlocal behaviors only")
-    spread, common, h = (float(v[0]) for v in _ref_branch_table(b, tol))
-    cond_splus = spread <= tol and h >= -tol
-    residuals = {"sPlusSpread": spread, "hProduct": h}
-    tlm_b = tlm_a = False
-    uniq_trivial = False
-    if cond_splus:
-        gb, ga = _ref_saturation_gaps(b, min(common, 1.0))
-        residuals["tlmGapB"] = gb
-        residuals["tlmGapA"] = ga
-        tlm_b = abs(gb) <= root_tol(tol)
-        tlm_a = abs(ga) <= root_tol(tol)
-        if tlm_b and tlm_a:
-            try:
-                g = _ref_reconstruct(b, tol=root_tol(tol))
-                uniq = _ref_uniqueness_check(g)
-                uniq_trivial = uniq.trivialOnly
-                residuals["uniquenessSolutions"] = len(uniq.solutions)
-            except (ReconstructionError, DegenerateGeometryError) as exc:
-                residuals["uniquenessError"] = str(exc)
-    return ExtremalVerdict(
-        conditionSPlus=bool(cond_splus),
-        tlmBSaturated=bool(tlm_b),
-        tlmASaturated=bool(tlm_a),
-        uniquenessTrivial=bool(uniq_trivial),
-        conjecture1Candidate=bool(cond_splus and tlm_b and tlm_a),
-        sin2chiSquared=common if cond_splus else None,
-        residuals=residuals,
-    )
-
-
 # -- frozen copies: geometry ---------------------------------------------------
 
 
@@ -312,80 +203,6 @@ def _ref_projection_angles(r):
         thetaA=r.thetaA, thetaB=r.thetaB, phiB=phiB, phiA=phiA, chi=r.chi,
         psiPrimeNorm=math.cos(2.0 * r.chi),
     )
-
-
-def _ref_canonicalize(r):
-    sA = math.sin(r.thetaA[0])
-    sB = math.sin(r.thetaB[0])
-    if sA < -ROUNDING_ZERO or (abs(sA) <= ROUNDING_ZERO and sB < -ROUNDING_ZERO):
-        r = TwoQubitRealization(thetaA=-r.thetaA, thetaB=-r.thetaB, chi=r.chi)
-    return _ref_projection_angles(r)
-
-
-def _ref_reconstruct_max_entangled(b, tol):
-    if max(np.abs(b.cA).max(), np.abs(b.cB).max()) > MODEL_FIT_FACTOR * tol:
-        raise ReconstructionError(
-            "branch value 1 requires vanishing marginals, got "
-            f"{np.abs(np.concatenate([b.cA, b.cB])).max()}"
-        )
-    c = np.clip(b.c, -1.0, 1.0)
-    tB0 = math.acos(c[0, 0])
-    signs = SIGN_PATTERNS[:4, 2:]
-    thetaA = np.stack([np.zeros(4), tB0 + signs[:, 1] * math.acos(c[1, 0])], axis=-1)
-    thetaB = np.stack([np.full(4, tB0), signs[:, 0] * math.acos(c[0, 1])], axis=-1)
-    misfit = np.abs(_ref_two_qubit_correlators(thetaA, thetaB, 1.0) - b.c).max(axis=(1, 2))
-    best = int(misfit.argmin())
-    if misfit[best] > MODEL_FIT_FACTOR * tol:
-        raise ReconstructionError("no angle assignment reproduces the correlators at chi=pi/4")
-    return TwoQubitRealization(thetaA=thetaA[best], thetaB=thetaB[best], chi=math.pi / 4)
-
-
-def _ref_reconstruct(b, tol=DEFAULT_TOL):
-    patterns = _ref_two_qubit_condition(b, max(tol, DEFAULT_TOL))
-    if not patterns:
-        raise ReconstructionError("no consistent branch assignment; behavior is not two-qubit")
-    last_error = "no branch value yields a consistent geometry"
-    for pat in patterns:
-        common = min(max(pat.commonValue, 0.0), 1.0)
-        dB, dA = _ref_d_quantities(b, common)
-        if dB.max() > 1.0 + MODEL_FIT_FACTOR * tol or dA.max() > 1.0 + MODEL_FIT_FACTOR * tol:
-            last_error = f"bias coordinate exceeds 1 for branch value {common}"
-            continue
-        gapB, gapA = _ref_saturation_gaps(b, common)
-        if abs(gapB) > tol or abs(gapA) > tol:
-            last_error = (
-                f"scaled-correlator boundary not saturated (gaps {gapB}, {gapA}) "
-                f"for branch value {common}"
-            )
-            continue
-        sin2chi = math.sqrt(common)
-        if common > 1.0 - MAX_ENTANGLED_SLACK:
-            try:
-                r = _ref_reconstruct_max_entangled(b, tol)
-            except ReconstructionError as exc:
-                last_error = str(exc)
-                continue
-            return _ref_canonicalize(r)
-        cos2chi = math.sqrt(1.0 - common)
-        if np.abs(b.cA).max() > cos2chi + tol or np.abs(b.cB).max() > cos2chi + tol:
-            last_error = (
-                f"marginal magnitude {max(np.abs(b.cA).max(), np.abs(b.cB).max())} "
-                f"exceeds {cos2chi}; no consistent angle"
-            )
-            continue
-        baseA = np.arccos(np.clip(b.cA / cos2chi, -1.0, 1.0))
-        baseB = np.arccos(np.clip(b.cB / cos2chi, -1.0, 1.0))
-        chi = 0.5 * math.asin(min(sin2chi, 1.0))
-        thetaA = SIGN_PATTERNS[:, [0, 2]] * baseA
-        thetaB = SIGN_PATTERNS[:, [1, 3]] * baseB
-        misfit = np.abs(_ref_two_qubit_correlators(thetaA, thetaB, sin2chi) - b.c).max(axis=(1, 2))
-        best = int(misfit.argmin())
-        if misfit[best] <= MODEL_FIT_FACTOR * tol:
-            return _ref_canonicalize(
-                TwoQubitRealization(thetaA=thetaA[best], thetaB=thetaB[best], chi=chi)
-            )
-        last_error = f"no sign assignment reproduces the correlators for branch value {common}"
-    raise ReconstructionError(last_error)
 
 
 def _ref_symmetry_transforms(g):
@@ -445,6 +262,15 @@ def _ref_construct_side(side, delta, D, dtheta):
     return ineq, QBellCoefficients(u=freeze(u), s=freeze(s), dthetaRef=dtheta)
 
 
+def _ref_two_qubit_biases(thetaA, thetaB, chi):
+    chi = np.asarray(chi, dtype=float)
+    c2 = np.cos(2.0 * chi)[..., None]
+    s2sq = (np.sin(2.0 * chi) ** 2)[..., None]
+    cA = c2 * np.cos(thetaA)
+    cB = c2 * np.cos(thetaB)
+    return cA, cB, cA**2 + s2sq, cB**2 + s2sq
+
+
 def _ref_d_values(g):
     _, _, dB, dA = _ref_two_qubit_biases(g.thetaA, g.thetaB, g.chi)
     return dB, dA
@@ -457,107 +283,6 @@ def _ref_construct_pair(g):
     ineqB, coeffB = _ref_construct_side("B", deltaB, np.sqrt(dB), float(g.thetaB[0] - g.thetaB[1]))
     ineqA, coeffA = _ref_construct_side("A", deltaA, np.sqrt(dA), float(g.thetaA[0] - g.thetaA[1]))
     return ineqB, ineqA, (coeffB, coeffA)
-
-
-def _ref_ratio_coefficients(coeff):
-    u = coeff.u
-    p = np.array([u[0, 0], u[0, 1], u[1, 0], u[1, 1]])
-    q = np.array([u[0, 1], u[0, 0], -u[1, 1], -u[1, 0]])
-    ref = p + q * math.cos(coeff.dthetaRef)
-    if np.abs(ref).min() < RATIO_DENOMINATOR_MIN:
-        raise DegenerateGeometryError(
-            "a uniqueness-equation denominator vanishes at the reference angle"
-        )
-    return p / ref, q / ref
-
-
-def _ref_clip_line(x0, v):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ends = (np.array([[-1.0], [1.0]]) - x0) / v
-    lo = np.nanmax(ends.min(axis=0))
-    hi = np.nanmin(ends.max(axis=0))
-    if not lo <= hi:
-        return []
-    return [x0 + lo * v, x0 + hi * v]
-
-
-def _ref_same_root(a, b):
-    return abs(a[0] - b[0]) <= ROOT_SEPARATION and abs(a[1] - b[1]) <= ROOT_SEPARATION
-
-
-def _ref_uniqueness_check(g):
-    _, _, (coeffB, coeffA) = _ref_construct_pair(g)
-    pA, qA = _ref_ratio_coefficients(coeffA)
-    pB, qB = _ref_ratio_coefficients(coeffB)
-    ref = np.array([math.cos(coeffA.dthetaRef), math.cos(coeffB.dthetaRef)])
-    m = np.stack([np.broadcast_to(qA, SIGN_PATTERNS.shape), -SIGN_PATTERNS * qB], axis=-1)
-    rhs = SIGN_PATTERNS * pB - pA
-    left, sv, vt = np.linalg.svd(m, full_matrices=False)
-    proj = np.einsum("nki,nk->ni", left, rhs)
-    full_rank = sv[:, 1] > RANK_TOL * sv[:, 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        points = np.einsum("nij,ni->nj", vt, proj / sv)
-    systems, candidates = [0], [ref]
-    for n in range(len(SIGN_PATTERNS)):
-        if full_rank[n]:
-            ends = [np.clip(points[n], -1.0, 1.0)]
-        else:
-            ends = _ref_clip_line(vt[n, 0] * proj[n, 0] / sv[n, 0], vt[n, 1])
-        systems += [n] * len(ends)
-        candidates += ends
-    ts = np.array(candidates)
-    ms, rs = m[systems], rhs[systems]
-    scale = np.linalg.norm(ms, axis=-1) * np.linalg.norm(ts, axis=-1)[:, None] + np.abs(rs)
-    miss = np.abs(np.einsum("nki,ni->nk", ms, ts) - rs)
-    residual = np.divide(miss, scale, out=miss, where=scale > 0.0).max(axis=-1)
-    solutions = []
-    for (ta, tb), res in zip(ts, residual):
-        if res <= ROOT_RESIDUAL and not any(_ref_same_root((ta, tb), s) for s in solutions):
-            solutions.append((float(ta), float(tb), float(res)))
-    trivial_only = all(_ref_same_root(s, ref) for s in solutions)
-    return UniquenessReport(trivialOnly=trivial_only, solutions=tuple(solutions))
-
-
-# -- frozen copies: realization -----------------------------------------------
-
-
-def _ref_simulate_cbehavior(r):
-    m = r.state_matrix
-    cA = [float(np.vdot(m, a @ m).real) for a in r.A]
-    cB = [float(np.vdot(m, m @ b.T).real) for b in r.B]
-    c = [[float(np.vdot(m, a @ m @ b.T).real) for b in r.B] for a in r.A]
-    return CBehavior(cA=cA, cB=cB, c=c)
-
-
-def _ref_conditional_states(r, side, setting):
-    m = r.state_matrix
-    if side == "B":
-        obs = r.A[setting]
-        eye = np.eye(r.dimA)
-        amp_p = ((eye + obs) / 2.0) @ m
-        amp_m = ((eye - obs) / 2.0) @ m
-        rho_p = amp_p.T @ amp_p.conj()
-        rho_m = amp_m.T @ amp_m.conj()
-    else:
-        obs = r.B[setting]
-        eye = np.eye(r.dimB)
-        amp_p = m @ (((eye + obs) / 2.0).T)
-        amp_m = m @ (((eye - obs) / 2.0).T)
-        rho_p = amp_p @ amp_p.conj().T
-        rho_m = amp_m @ amp_m.conj().T
-    rho = rho_p + rho_m
-    evals, evecs = np.linalg.eigh(rho)
-    overlaps = evecs.conj().T @ (rho_p - rho_m) @ evecs
-    return evals, overlaps
-
-
-def _ref_guessing_bias(r, side, setting, cutoff=SUPPORT_CUTOFF):
-    m, overlaps = _ref_conditional_states(r, side, setting)
-    denom = m[:, None] + m[None, :]
-    terms = np.divide(
-        2.0 * np.abs(overlaps) ** 2, denom, out=np.zeros_like(denom), where=denom > cutoff
-    )
-    return math.sqrt(max(float(np.sum(terms)), 0.0))
 
 
 # -- frozen copies: selftest ----------------------------------------------------
@@ -771,45 +496,6 @@ def _same(tally, label, new, ref, *args):
     return got[0] == "ok"
 
 
-def _draws(rng):
-    """(label, realization or None, behavior): 2000 seeded draws."""
-    for k in range(2000):
-        kind = k % 5
-        if kind == 0:
-            # conforming: a boundary behavior of a partially entangled realization
-            r = random_conforming(rng)
-            yield "conforming", r, simulate_cbehavior(r)
-        elif kind == 1:
-            r = random_two_qubit(rng)
-            yield "random", r, simulate_cbehavior(r)
-        elif kind == 2:
-            # maximally entangled: the Tsirelson angles turned by a common
-            # angle, whose uniqueness systems include rank-1 ones with a line
-            # of roots; generic angles; angles at or near 0 and pi
-            near = [0.0, math.pi, 1e-9, -1e-9, math.pi + 1e-9, math.pi - 1e-9]
-            tA, tB = rng.uniform(0.0, 2.0 * math.pi, size=(2, 2))
-            if k % 3 == 0:
-                tA = np.array([math.pi / 4, -math.pi / 4]) + tB[0]
-                tB = np.array([0.0, math.pi / 2]) + tB[0]
-            elif k % 3 == 1:
-                tA, tB = rng.choice(near + [tA[0]], size=(2, 2))
-            chi = math.pi / 4 - float(rng.choice([0.0, 1e-13, 1e-9, 1e-6]))
-            r = TwoQubitRealization(thetaA=tA, thetaB=tB, chi=chi)
-            yield "maxEntangled", r, simulate_cbehavior(r)
-        elif kind == 3:
-            # one side's two angles nearly coincide: sin(theta_0 - theta_1) -> 0
-            g = projection_angles(random_conforming(rng))
-            theta = np.array([g.thetaA, g.thetaB])
-            side = int(rng.integers(2))
-            theta[side, 1] = theta[side, 0] + float(rng.choice([1e-13, -1e-12, 1e-10, 1e-7]))
-            r = TwoQubitRealization(thetaA=theta[0], thetaB=theta[1], chi=g.chi)
-            yield "degenerateSin", r, simulate_cbehavior(r)
-        else:
-            # any correlators: most have a negative discriminant somewhere
-            x = rng.uniform(-1.0, 1.0, 8)
-            yield "anyCorrelators", None, CBehavior(cA=x[:2], cB=x[2:4], c=x[4:].reshape(2, 2))
-
-
 def _matched_geometry(g, g2, tol, b_angles):
     """``_match_geometries`` rebuilt into the geometry the frozen copy
     returns: the matching angle row at the chi of g2."""
@@ -822,10 +508,9 @@ def _matched_geometry(g, g2, tol, b_angles):
 def test_kernels_match_frozen_reference():
     rng = np.random.default_rng(19)
     tally = set()
-    for label, r, b in _draws(rng):
+    for label, r, b in draws(rng):
         for tol in (DEFAULT_TOL, root_tol(DEFAULT_TOL)):
             _same(tally, label, two_qubit_condition, _ref_two_qubit_condition, b, tol)
-            _same(tally, label, reconstruct, _ref_reconstruct, b, tol)
         values = {float(rng.uniform())}
         try:
             values |= {min(max(p.commonValue, 0.0), 1.0) for p in two_qubit_condition(b, 1e-5)}
@@ -833,14 +518,12 @@ def test_kernels_match_frozen_reference():
             pass
         for v in values:
             _same(tally, label, saturation_gaps, _ref_saturation_gaps, b, v)
-        _same(tally, label, extremal_criterion, _ref_extremal_criterion, b, DEFAULT_TOL)
         geometries = [] if r is None else [projection_angles(r)]
         try:
             geometries.append(reconstruct(b, root_tol(DEFAULT_TOL)))
         except (ReconstructionError, InvalidBehaviorError):
             pass
         for g in geometries:
-            _same(tally, label, uniqueness_check, _ref_uniqueness_check, g)
             _same(tally, label, construct_pair, _ref_construct_pair, g)
             # a symmetry image with its angles moved by about 1e-6: a match at
             # 1e-5, mostly none at 1e-7
@@ -857,16 +540,10 @@ def test_kernels_match_frozen_reference():
                       b_angles)
     # every class of draw reaches the outcomes it is drawn for
     assert {
-        ("conforming", "ok"),
-        ("random", "ok"),
-        ("random", "ReconstructionError"),
-        ("maxEntangled", "ok"),
-        ("maxEntangled", "ReconstructionError"),
-        ("maxEntangled", "DegenerateGeometryError"),
-        ("degenerateSin", "ReconstructionError"),
-        ("degenerateSin", "DegenerateGeometryError"),
-        ("anyCorrelators", "InvalidBehaviorError"),
-        ("anyCorrelators", "ReconstructionError"),
+        ("conforming", "ok"), ("random", "ok"), ("random", "DegenerateGeometryError"),
+        ("maxEntangled", "ok"), ("maxEntangled", "DegenerateGeometryError"),
+        ("degenerateSin", "ok"), ("degenerateSin", "DegenerateGeometryError"),
+        ("anyCorrelators", "ok"), ("anyCorrelators", "InvalidBehaviorError"),
     } <= tally, tally
 
 
@@ -874,22 +551,10 @@ def test_negative_discriminant_errors_match_at_each_tolerance():
     # the discriminant test is the only part of the branch table that reads
     # tol; behaviors pushed out of the valid set by up to 1e-4 meet it on
     # both sides of each tolerance
-    rng = np.random.default_rng(20)
     tally = set()
-    for _ in range(300):
-        r = random_conforming(rng)
-        b0 = simulate_cbehavior(r)
-        s = float(rng.choice([1e-9, 1e-7, 1e-5, 1e-4]))
-        # one side's marginals scaled up, so either side's range test can bind
-        grow = np.array([1.0 + s, 1.0]) if rng.integers(2) else np.array([1.0, 1.0 + s])
-        b = CBehavior(
-            cA=np.clip(b0.cA * grow[0], -1.0, 1.0), cB=np.clip(b0.cB * grow[1], -1.0, 1.0),
-            c=np.clip(b0.c * (1.0 + s) + s * rng.normal(size=(2, 2)), -1.0, 1.0),
-        )
-        for tol in (1e-9, 1e-7, 1e-5, 1e-4):
+    for _, b in pushed_draws(np.random.default_rng(20)):
+        for tol in PUSH_SIZES:
             _same(tally, "pushed", two_qubit_condition, _ref_two_qubit_condition, b, tol)
-            _same(tally, "pushed", reconstruct, _ref_reconstruct, b, tol)
-            _same(tally, "pushed", extremal_criterion, _ref_extremal_criterion, b, tol)
     assert ("pushed", "InvalidBehaviorError") in tally and ("pushed", "ok") in tally
 
 
@@ -912,42 +577,6 @@ def test_gap_kernel_matches_frozen_reference():
                 assert got[key].tobytes() == want[key].tobytes(), key
 
 
-def _general_draws(rng):
-    """Two-qubit realizations at chi in {0, 1e-12, 1e-6, 1e-5} and at random
-    chi, padded with +/-I to dimensions 2-4 and Haar-rotated on both sides."""
-    for k in range(600):
-        chi = [0.0, 1e-12, 1e-6, 1e-5, float(rng.uniform(0.0, math.pi / 4))][k % 5]
-        tA, tB = rng.uniform(0.0, 2.0 * math.pi, size=(2, 2))
-        dimA, dimB = (int(d) for d in rng.integers(2, 5, size=2))
-        yield embed(
-            promote(TwoQubitRealization(thetaA=tA, thetaB=tB, chi=chi)),
-            unitaryA=haar_unitary(rng, dimA),
-            unitaryB=haar_unitary(rng, dimB),
-            padA=dimA - 2,
-            padB=dimB - 2,
-            pad_sign=float(rng.choice([1.0, -1.0])),
-        )
-
-
-def test_simulation_matches_frozen_reference():
-    worst = 0.0
-    for r in _general_draws(np.random.default_rng(22)):
-        ref = _ref_simulate_cbehavior(r)
-        b, d = simulate_cbehavior(r), simulate_dbehavior(r)
-        for got in (b.c, d.c):
-            assert got.tobytes() == ref.c.tobytes()
-        assert b.cA.tobytes() == ref.cA.tobytes() and b.cB.tobytes() == ref.cB.tobytes()
-        for side, deltas in (("B", d.deltaB), ("A", d.deltaA)):
-            for setting in range(2):
-                want = _ref_guessing_bias(r, side, setting)
-                worst = max(
-                    worst,
-                    abs(guessing_bias(r, side, setting) - want),
-                    abs(deltas[setting] - want**2),
-                )
-    assert worst <= 1e-14, worst
-
-
 def _count_calls(monkeypatch, owner, name):
     calls = []
     inner = getattr(owner, name)
@@ -962,7 +591,7 @@ def _count_calls(monkeypatch, owner, name):
 
 def test_simulation_and_protocols_do_the_work_once(monkeypatch):
     rng = np.random.default_rng(23)
-    r = next(_general_draws(rng))
+    r = next(general_draws(rng))
     base = promote(random_conforming(rng))
     eigh = _count_calls(monkeypatch, np.linalg, "eigh")
     simulate_cbehavior(r)
@@ -979,35 +608,13 @@ def test_simulation_and_protocols_do_the_work_once(monkeypatch):
     assert built == []
 
 
-def _selftest_draws(rng):
-    """(label, realization, geometry): 600 seeded draws, promoted two-qubit
-    or padded and Haar-rotated to dimensions 2-4, with the realization's own
-    angles, unrelated angles, or one side's two angles nearly coincident."""
-    for k in range(600):
-        r = [random_conforming, random_two_qubit][k % 2](rng)
-        g = projection_angles(r)
-        if k % 3 == 1:
-            g = projection_angles(random_two_qubit(rng))
-        elif k % 3 == 2:
-            theta = np.array([g.thetaA, g.thetaB])
-            side = int(rng.integers(2))
-            offset = float(rng.choice([0.0, 1e-13, -5e-13, 2e-12, -1e-10, 1e-7]))
-            theta[side, 1] = theta[side, 0] + offset
-            g = projection_angles(TwoQubitRealization(thetaA=theta[0], thetaB=theta[1], chi=g.chi))
-        if k % 4 < 2:
-            yield "twoQubit", promote(r), g
-        else:
-            dims = [int(d) for d in rng.integers(2, 5, size=2)]
-            yield "embedded", _embedded_pair(rng, *dims, r)[0], g
-
-
 def test_selftest_operators_match_frozen_reference():
     # one (Z, X) kernel per side and the swap circuit over the two outcome
     # operators of each side: the same operators and fidelity, bit for bit,
     # at the default and at a given state and target
     rng = np.random.default_rng(2301)
     tally = set()
-    for label, r, g in _selftest_draws(rng):
+    for label, r, g in selftest_draws(rng):
         if not _same(tally, label, derive_operators, _ref_derive_operators, r, g):
             continue
         ops = derive_operators(r, g)
@@ -1025,73 +632,6 @@ def test_selftest_operators_match_frozen_reference():
 
 
 # -- the JSON emitter and the record checks --------------------------------------
-
-
-def _pairs(m):
-    """A complex matrix as the row-major [re, im] pairs of the JSON input."""
-    return np.stack([m.real, m.imag], axis=-1).reshape(-1, 2).tolist()
-
-
-def _embedded_pair(rng, dimA, dimB, r):
-    """``r`` and the Pauli Z on Bob's side, padded to the given dimensions and
-    Haar-rotated alike."""
-    kwargs = dict(
-        unitaryA=haar_unitary(rng, dimA),
-        unitaryB=haar_unitary(rng, dimB),
-        padA=dimA - 2,
-        padB=dimB - 2,
-        pad_sign=float(rng.choice([1.0, -1.0])),
-    )
-    base = promote(r)
-    z = GeneralRealization(dimA=2, dimB=2, psi=base.psi, A=base.A, B=(SIGMA3, SIGMA3))
-    return embed(base, **kwargs), embed(z, **kwargs).B[0]
-
-
-def _cli_requests(rng):
-    """(command, argv) covering every JSON report of the CLI."""
-    readme = {"thetaA": [0, 1.5707963], "thetaB": [0.05, -0.7853982], "chi": 0.2617994}
-    reference = reference_realization().to_json()
-    outside = json.dumps({"cA": [0.3, -0.2], "cB": [0.1, 0.4], "c": [[0.5, 0.1], [-0.3, 0.2]]})
-    yield "geometry", ["geometry", "-i", outside]
-    yield "check", ["check", "-i", json.dumps(readme), "--tol", "1e-6"]
-    for eps in (0.001, 0.01, 0.05):
-        yield "counterexample", ["counterexample", "--epsilon", str(eps)]
-    for k in range(24):
-        r = random_conforming(rng) if k % 2 else random_two_qubit(rng)
-        text = r.to_json() if k else reference
-        for command in ("simulate", "check", "geometry", "qbell"):
-            yield command, [command, "-i", text]
-        d = simulate_dbehavior(r).to_json()
-        yield "check", ["check", "-i", d]
-        base = json.loads(text)
-        for protocol in ("addedZ", "paired"):
-            request = {"base": base, "protocol": protocol, "thetaB2": float(rng.uniform(-3, 3))}
-            yield "selftest", ["selftest", "-i", json.dumps(request)]
-        dims = [int(x) for x in rng.integers(2, 5, size=2)]
-        g, z = _embedded_pair(rng, *dims, random_conforming(rng))
-        yield "simulate", ["simulate", "-i", g.to_json()]
-        yield "check", ["check", "-i", g.to_json()]
-        for protocol in ("addedZ", "paired"):
-            request = {"base": g.to_json_dict(), "protocol": protocol, "B2": _pairs(z)}
-            yield "selftest", ["selftest", "-i", jsonio.dumps(request)]
-
-
-def _cli_reports(monkeypatch):
-    """Every object the CLI serializes on ``_cli_requests``, by command."""
-    reports = []
-    emit = jsonio.dumps
-
-    def recorded(obj, indent=None):
-        reports.append((command, obj))
-        return emit(obj, indent=indent)
-
-    requests = list(_cli_requests(np.random.default_rng(2201)))
-    monkeypatch.setattr(jsonio, "dumps", recorded)
-    for command, argv in requests:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            main(argv)
-    monkeypatch.setattr(jsonio, "dumps", emit)
-    return reports
 
 
 class _Name(str):
@@ -1170,19 +710,6 @@ def _same_text(obj):
         want = _written(_ref_emit, obj, indent, 0)
         assert got == want, (obj, indent, got, want)
     return got[0]
-
-
-def test_dumps_matches_frozen_emitter_on_every_cli_report(monkeypatch):
-    reports = _cli_reports(monkeypatch)
-    # every JSON-writing path of every subcommand, geometry's error report too
-    assert {c for c, _ in reports} == {
-        "simulate", "check", "geometry", "qbell", "selftest", "counterexample"
-    }
-    assert any("error" in obj for c, obj in reports if c == "geometry")
-    selftests = {(obj["protocol"], obj["selfTested"]) for c, obj in reports if c == "selftest"}
-    assert selftests == {(p, v) for p in ("addedZ", "pairedReconstruction") for v in (True, False)}
-    for _, obj in reports:
-        assert _same_text(obj) == "ok"
 
 
 def test_dumps_matches_frozen_emitter_on_seeded_values():
@@ -1319,7 +846,7 @@ def test_record_checks_match_frozen_reference():
         for name in ("phiB", "phiA", "psiPrimeNorm"):
             _derived_input(tally, g, name, values[name])
         dims = [int(x) for x in rng.integers(2, 5, size=2)]
-        base, z = _embedded_pair(rng, *dims, r)
+        base, z = embedded_pair(rng, *dims, r)
         psi = base.psi * [1.0, 1.0 + 1e-6, 1.0 + 1e-10][int(rng.choice(3, p=[0.8, 0.1, 0.1]))]
         if rng.uniform() < 0.1:
             psi = psi[:-1]
@@ -1332,7 +859,7 @@ def test_record_checks_match_frozen_reference():
         _same_record(tally, ExtendedRealization, _ref_extended_realization, base=base, B2=b2)
     # each pair of faults on each side, in both orders
     for dims in ((2, 2), (3, 4)):
-        base, z = _embedded_pair(rng, *dims, random_two_qubit(rng))
+        base, z = embedded_pair(rng, *dims, random_two_qubit(rng))
         for side, faults in itertools.product("AB", itertools.product(_OBSERVABLE_FAULTS, repeat=2)):
             ops = {"A": base.A, "B": base.B}
             ops[side] = tuple(_faulty(m, f, 1e-6) for m, f in zip(ops[side], faults))
@@ -1364,7 +891,7 @@ def test_record_checks_match_frozen_reference():
 
 def test_stacked_observable_residuals_match_per_matrix():
     rng = np.random.default_rng(2204)
-    for k, r in enumerate(_general_draws(rng)):
+    for k, r in enumerate(general_draws(rng)):
         for ops in (r.A, r.B):
             ops = np.array(ops) + 1e-9 * rng.normal(size=(2,) + ops[0].shape) * (k % 2)
             herm, square = _observable_residuals(ops)
