@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import behavior, criteria, geometry, jsonio, qbell, realization, selftest
-from .tolerances import BOUNDARY_TOL, DEFAULT_TOL, RESIDUAL_PASS
+from .tolerances import DEFAULT_TOL, RESIDUAL_PASS
 
 PASS, ERROR, FAIL = 0, 1, 2
 
@@ -224,10 +224,10 @@ def _boundary_intervals(d_ref: behavior.DBehavior, grid: np.ndarray) -> dict:
 
     A curve of section B (A) sets C_11 of ``d_ref`` to a grid value and
     varies delta = delta^B_1 (delta^A_1) over [C_11^2, 1]; a point is
-    feasible where the scaled-correlator gap of that side is >= 0.  A curve
-    has a range if one batched gap evaluation finds either end feasible.
+    feasible where the scaled-correlator gap of that side is >= 0.
 
-    The range is [lo, 1], lo in closed form.  Section B scales row 0 of C
+    The feasible set is [lo, 1], lo in closed form, so a curve has a row
+    exactly when lo <= 1; no gap is evaluated.  Section B scales row 0 of C
     to a fixed (a, b) and row 1, (u, v), to (u, v) / sqrt(delta); section A
     does so with the columns.  With kappa = sqrt(1 - a^2) sqrt(1 - b^2) -
     s ab for s = +1 and -1, the gap is >= 0 exactly where delta >= max(u^2,
@@ -241,15 +241,6 @@ def _boundary_intervals(d_ref: behavior.DBehavior, grid: np.ndarray) -> dict:
     n = len(grid)
     c = np.broadcast_to(d_ref.c, (n, 2, 2)).copy()
     c[:, 1, 1] = grid
-    # each side's gap reads only its own biases, so one evaluation at both
-    # ends of every curve serves both sections
-    ends = np.stack([grid * grid, np.ones(n)])
-    deltaB = np.broadcast_to(d_ref.deltaB, ends.shape + (2,)).copy()
-    deltaA = np.broadcast_to(d_ref.deltaA, ends.shape + (2,)).copy()
-    deltaB[..., 1] = deltaA[..., 1] = ends
-    c_ends = np.broadcast_to(c, ends.shape + (2, 2))
-    gaps = criteria.crypt_gaps_batch(deltaB, deltaA, c_ends, tol=BOUNDARY_TOL)
-    keep = np.concatenate([gaps["tlmB"], gaps["tlmA"]], axis=-1).max(axis=0) >= 0.0
     # section A's columns are the rows of the transpose
     rows = np.concatenate([c, c.swapaxes(-1, -2)])
     scale = np.sqrt(np.repeat([d_ref.deltaB[0], d_ref.deltaA[0]], n))
@@ -260,10 +251,10 @@ def _boundary_intervals(d_ref: behavior.DBehavior, grid: np.ndarray) -> dict:
     num, den = u * u + v * v + 2.0 * s * kappa * u * v, 1.0 - kappa * kappa
     root = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
     root = np.where((den > 0.0) & (kappa * root + s * u * v <= 0.0), root, 0.0)
-    lo = np.maximum(np.maximum(u * u, v * v), root.max(axis=0))
+    lo = np.maximum(np.maximum(u * u, v * v), root.max(axis=0)).reshape(2, n)
     return {
         side: [(x, y, 1.0) for x, y in zip(grid[k], lo_side[k])]
-        for side, k, lo_side in zip("BA", keep.reshape(2, n), lo.reshape(2, n))
+        for side, k, lo_side in zip("BA", lo <= 1.0, lo)
     }
 
 
@@ -289,19 +280,6 @@ def cmd_counterexample(args) -> int:
     local = behavior.is_local(l_c, tol=args.tol)
     gaps = criteria.crypt_gaps(l_d, tol=args.tol)
     member = criteria.gaps_member(gaps, tol=args.tol)
-    report = {
-        "epsilon": eps,
-        "lambda": lam,
-        "lambdaLimit": 1.0 - 1.0 / math.sqrt(2.0),
-        "LIsLocal": local,
-        "LInCryptSet": member,
-        "cryptGaps": gaps,
-        "chshP": _chsh(p_c),
-        "chshQ": _chsh(q_c),
-        "chshL": _chsh(l_c),
-        "L": {"cbehavior": l_c.to_json_dict(), "dbehavior": l_d.to_json_dict()},
-    }
-    ok = local and not member
     if args.format == "csv":
         buf = io.StringIO()
         buf.write("section,label,c11,deltaMin,deltaMax\n")
@@ -314,8 +292,20 @@ def cmd_counterexample(args) -> int:
                 buf.write(f"{side},{label},{d.c[1, 1]:.10g},{delta:.10g},{delta:.10g}\n")
         _write(args.output, buf.getvalue())
     else:
+        report = {
+            "epsilon": eps,
+            "lambda": lam,
+            "lambdaLimit": 1.0 - 1.0 / math.sqrt(2.0),
+            "LIsLocal": local,
+            "LInCryptSet": member,
+            "cryptGaps": gaps,
+            "chshP": _chsh(p_c),
+            "chshQ": _chsh(q_c),
+            "chshL": _chsh(l_c),
+            "L": {"cbehavior": l_c.to_json_dict(), "dbehavior": l_d.to_json_dict()},
+        }
         _write(args.output, jsonio.dumps(report, indent=2))
-    return PASS if ok else FAIL
+    return PASS if local and not member else FAIL
 
 
 def _sweep_columns(thetaA, thetaB, chi, tol: float):

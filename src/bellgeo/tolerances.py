@@ -15,10 +15,11 @@ import math
 #: leaves six orders of magnitude for rounding along the pipeline.
 DEFAULT_TOL = 1e-9
 
-#: Tolerance of the gaps that decide which ``counterexample --format csv``
-#: curves get a row: none.  Their closed-form lower ends are the exact
-#: feasible edge.  A tolerance e would admit scaled correlators up to
-#: 1 + sqrt(e) at a curve's ends, and with them rows whose range is empty.
+#: Tolerance of the gap kernel scans in ``tests/test_cli.py`` that check the
+#: rows of ``counterexample --format csv``: none, the strict rule under which
+#: the rows' closed-form lower ends are the exact feasible edge.  A
+#: tolerance e would admit scaled correlators up to 1 + sqrt(e) at a curve's
+#: ends, and with them points no row covers.
 BOUNDARY_TOL = 0.0
 
 #: Residual below which a self-testing operator identity or an

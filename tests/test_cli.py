@@ -420,18 +420,17 @@ def test_boundary_range_is_one_interval_reaching_one():
                 assert edge - step[j] - EDGE_ROUNDING <= lo <= edge + EDGE_ROUNDING
 
 
-def test_counterexample_csv_calls_the_gap_kernel_at_most_twice(monkeypatch, capsys):
-    # one batched call for both ends of every curve, one for the point L
-    calls = []
-    kernel = criteria.crypt_gaps_batch
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return kernel(*args, **kwargs)
-
-    monkeypatch.setattr(criteria, "crypt_gaps_batch", counted)
-    assert main(["counterexample", "--format", "csv", "--samples", "61"]) == 0
-    assert len(calls) <= 2
+@pytest.mark.parametrize("samples", [1, 6, 200])
+def test_counterexample_csv_calls_the_gap_kernel_once(monkeypatch, capsys, samples):
+    # the curves' rows come from the closed-form lower end alone; the one
+    # gap kernel call is crypt_gaps of the single point L
+    calls = _counted(monkeypatch, [criteria], "crypt_gaps_batch")
+    rows = _boundary_intervals(_p_dbehavior(0.01), np.linspace(-1.0, 0.2, samples))
+    assert calls == []
+    argv = ["counterexample", "--format", "csv", "--samples", str(samples)]
+    assert main(argv) == 0
+    assert len(calls) == 1 and np.shape(calls[0]) == (2,)
+    assert capsys.readouterr().out.count(",boundary,") == len(rows["B"]) + len(rows["A"])
 
 
 def _counted(monkeypatch, modules, name):
