@@ -253,10 +253,12 @@ def uniqueness_check(g: GeometryParams) -> UniquenessReport:
     if line.size:
         # the solution line x0 + lam v; a coordinate the line does not move
         # along gives +-inf (or nan on the border), which constrains nothing
-        # or empties the segment
+        # or empties the segment; v is oriented with its first nonzero entry
+        # positive, so the order of the ends is not the SVD's sign choice
         with np.errstate(divide="ignore", invalid="ignore"):
             x0 = vt[line, 0] * proj[line, 0, None] / sv[line, 0, None]
             v = vt[line, 1]
+            v = v * np.where(v[:, :1] != 0.0, np.sign(v[:, :1]), np.sign(v[:, 1:]))
             ends = (_BOUNDS - x0[:, None, :]) / v[:, None, :]
             lo = np.fmax.reduce(ends.min(axis=1), axis=-1)
             hi = np.fmin.reduce(ends.max(axis=1), axis=-1)

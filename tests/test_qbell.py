@@ -270,6 +270,32 @@ def test_uniqueness_maximally_entangled_degenerate_line():
     assert all(abs(ta - tb) <= 1e-12 for ta, tb, _ in report.solutions)
 
 
+def test_uniqueness_order_ignores_the_svd_sign(monkeypatch):
+    # the sign of each singular-vector pair is the BLAS kernel's choice:
+    # with every pair flipped the solutions are the same, in the same order,
+    # bit for bit, on the rank-1 systems of maximally entangled geometries
+    rng = np.random.default_rng(2701)
+    geometries = [projection_angles(tsirelson_realization())]
+    for _ in range(40):
+        tB = float(rng.uniform(0.0, 2.0 * math.pi))
+        r = TwoQubitRealization(
+            thetaA=[math.pi / 4 + tB, -math.pi / 4 + tB], thetaB=[tB, math.pi / 2 + tB],
+            chi=math.pi / 4,
+        )
+        geometries.append(projection_angles(r))
+    want = [uniqueness_check(g).solutions for g in geometries]
+    svd = np.linalg.svd
+
+    def flipped(*args, **kwargs):
+        left, sv, vt = svd(*args, **kwargs)
+        return -left, sv, -vt
+
+    monkeypatch.setattr(np.linalg, "svd", flipped)
+    assert [uniqueness_check(g).solutions for g in geometries] == want
+    # some draws list both ends of a line after the reference cosines
+    assert sum(len(s) > 2 for s in want) >= 4
+
+
 def test_cli_import_leaves_scipy_out():
     code = "import sys, bellgeo.cli; sys.exit('scipy' in sys.modules)"
     src = os.path.dirname(os.path.dirname(bellgeo.__file__))
