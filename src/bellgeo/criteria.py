@@ -82,7 +82,7 @@ def _branches(b: CBehavior) -> tuple[np.ndarray, ...]:
 
 def _require_real_roots(disc: np.ndarray, tol: float) -> None:
     if disc.min() < -tol:
-        bad = np.unravel_index(disc.argmin(), disc.shape)
+        bad = tuple(map(int, np.unravel_index(disc.argmin(), disc.shape)))
         raise InvalidBehaviorError(
             f"branch equation has no real roots at setting pair {bad} "
             f"(discriminant {disc.min()})"

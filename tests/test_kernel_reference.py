@@ -98,7 +98,7 @@ def _ref_s_branches(b, tol):
     K = b.c - b.cA[:, None] * b.cB[None, :]
     disc = J**2 - 4.0 * K**2
     if disc.min() < -tol:
-        bad = np.unravel_index(disc.argmin(), disc.shape)
+        bad = tuple(map(int, np.unravel_index(disc.argmin(), disc.shape)))
         raise InvalidBehaviorError(
             f"branch equation has no real roots at setting pair {bad} "
             f"(discriminant {disc.min()})"
