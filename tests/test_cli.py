@@ -427,7 +427,7 @@ def test_counterexample_csv_calls_the_gap_kernel_once(monkeypatch, capsys, sampl
     calls = _counted(monkeypatch, [criteria], "crypt_gaps_batch")
     rows = _boundary_intervals(_p_dbehavior(0.01), np.linspace(-1.0, 0.2, samples))
     assert calls == []
-    argv = ["counterexample", "--format", "csv", "--samples", str(samples)]
+    argv = ["counterexample", "--format", "csv", "--epsilon", "0.01", "--samples", str(samples)]
     assert main(argv) == 0
     assert len(calls) == 1 and np.shape(calls[0]) == (2,)
     assert capsys.readouterr().out.count(",boundary,") == len(rows["B"]) + len(rows["A"])
